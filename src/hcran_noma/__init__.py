@@ -2,7 +2,8 @@
 cloud radio access networks: system model, fractional-programming solver with
 a convex-approximation inner loop, a global monotonic-optimization oracle,
 an M/G/1 delay-to-rate transform, signalling-overhead estimates, and a
-deterministic data-parallel sweep harness."""
+sweep harness whose output is identical for any number of worker
+processes."""
 
 from .model import (ChannelState, ConfigError, EnergyReport, FeasibilityReport,
                     NetworkConfig, PowerAllocation, Tolerances, UserSpec,
@@ -16,7 +17,6 @@ from .scale import ScaleSolver, scale_coeffs
 from .polyblock import PolyblockSolver, canonicalize, polyblock_solve, project
 from .scenarios import Scenario, build_config, gen_channel, run_sweep
 from .overhead import QuantizationTable, count_centralized, count_distributed
-from .parallel import SweepPlan, benchmark, build_plan, parallel_sweep
 
 __all__ = [
     "ChannelState", "ConfigError", "EnergyReport", "FeasibilityReport",
@@ -30,7 +30,6 @@ __all__ = [
     "PolyblockSolver", "canonicalize", "polyblock_solve", "project",
     "Scenario", "build_config", "gen_channel", "run_sweep",
     "QuantizationTable", "count_centralized", "count_distributed",
-    "SweepPlan", "benchmark", "build_plan", "parallel_sweep",
 ]
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
-"""Command-line front end: single solves, figure sweeps, the parallel
-benchmark, the signalling-overhead curves and the optimality-gap study.
+"""Command-line front end: single solves, figure sweeps (draws optionally
+spread over a process pool), the signalling-overhead curves and the
+optimality-gap study.
 
 Configs are YAML key-value files; every key is optional and falls back to the
 experiment defaults (42 dBm high-power node, 23 dBm low-power heads, mask =
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import dinkelbach, model, overhead, parallel
+from . import dinkelbach, model, overhead
 from .model import ConfigError, NetworkConfig, Tolerances
 from .polyblock import PolyblockSolver
 from .scale import ScaleSolver
@@ -163,7 +164,7 @@ def _cmd_solve(args) -> int:
         cfg, _ = _rebuild(cfg, scenario)
     ch = gen_channel(cfg, np.random.default_rng([scenario.seed, 7]))
     solver = (PolyblockSolver(allow_high_dim=True) if args.solver == "polyblock"
-              else ScaleSolver(workers=args.workers, collect_trace=True))
+              else ScaleSolver(collect_trace=True))
     t0 = time.perf_counter()
     trace = dinkelbach.solve(ch, cfg, solver)
     wall = time.perf_counter() - t0
@@ -240,24 +241,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    grid = []
-    for part in args.grid.split(";"):
-        m, n, k = (int(x) for x in part.split(","))
-        grid.append((m, n, k))
-    report = parallel.benchmark(grid, repetitions=args.reps, workers=args.workers,
-                                seed=args.seed or 0)
-    lines = _header_lines("parallel benchmark", {"grid": grid, "reps": args.reps,
-                                                 "workers": args.workers})
-    lines.extend(report.csv_lines())
-    _write_csv(Path(args.out or "bench.csv"), lines)
-    for row in report.rows:
-        print(f"M={row.m} N={row.n} K={row.k}: serial {row.serial_ms:.1f} ms, "
-              f"parallel {row.parallel_ms:.1f} ms, speedup {row.speedup:.2f}x, "
-              f"divergence {row.max_divergence:.1e}")
-    return 0
-
-
 def _cmd_overhead(args) -> int:
     lo, hi = (int(x) for x in args.k_range.split(":"))
     lines = _header_lines("signalling overhead",
@@ -311,14 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML config path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--solver", choices=["scale", "polyblock"], default=None)
         p.add_argument("--oma", action="store_true",
                        help="orthogonal baseline: one user per subcarrier")
 
     p_solve = sub.add_parser("solve", help="solve one channel instance")
     common(p_solve)
-    p_solve.set_defaults(func=_cmd_solve, workers=1, solver="scale")
+    p_solve.set_defaults(func=_cmd_solve, solver="scale")
 
     p_sweep = sub.add_parser("sweep", help="run a figure-style sweep")
     common(p_sweep)
@@ -327,18 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
                                              "lpn", "none"])
     p_sweep.add_argument("--values", help="comma-separated sweep values")
     p_sweep.add_argument("--draws", type=int, default=None)
+    p_sweep.add_argument("--workers", type=int, default=None,
+                         help="processes the draws are spread over")
     p_sweep.add_argument("--timing", action="store_true",
                          help="include the (non-reproducible) wall-time column")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_bench = sub.add_parser("bench", help="serial-vs-parallel sweep benchmark")
-    p_bench.add_argument("--grid", default="3,64,12;3,256,12;10,64,20;10,256,20",
-                         help='semicolon-separated "M,N,K" triples')
-    p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.add_argument("--workers", type=int, default=4)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_over = sub.add_parser("overhead", help="signalling overhead curves")
     p_over.add_argument("--m", type=int, default=3)

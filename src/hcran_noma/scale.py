@@ -1,8 +1,9 @@
 """Suboptimal inner solver for a fixed efficiency parameter.
 
 For a fixed parameter ``e`` the task is to maximize R(p) - e*P(p) subject to
-the mask/budget boxes, the product-form selection constraints, the streaming
-minimum rates and the cancellation-order conditions.  The machinery:
+the mask/budget boxes, one serving head per user, at most l_max users per
+subcarrier, the streaming minimum rates and the cancellation-order
+conditions.  The machinery:
 
 * every rate log2(1+z) is lower-bounded by alpha*log2(z) + beta, tight at a
   reference SINR, which makes the objective concave in log-powers;
@@ -15,22 +16,22 @@ minimum rates and the cancellation-order conditions.  The machinery:
   stationarity solution, clamped to the spectral mask.
 
 Every sweep is Jacobi style: power and multiplier updates read one frozen
-snapshot per iteration, so a sweep executes serially or on any number of
-workers with identical output.  The per-RRH budget multipliers are solved to
+snapshot per iteration.  The per-RRH budget multipliers are solved to
 complementary slackness by bisection inside each sweep (the deep
 interference-limited regime makes the plain fixed-point iteration
-scale-degenerate otherwise); all other multiplier families follow projected
-subgradients.  Rounds re-tighten the rate bound (and the linearization) at
-the current point; a round that fails to improve the surrogate objective is
-rejected, which makes both the recorded round objectives and the true
-objective nondecreasing across rounds.
+scale-degenerate otherwise); the rate and cancellation-order multipliers
+follow projected subgradients.  Rounds re-tighten the rate bound (and the
+linearization) at the current point; a round that fails to improve the
+surrogate objective is rejected, which makes both the recorded round
+objectives and the true objective nondecreasing across rounds.
 
-Solves start from a structured point: each user on its best-gain head, the
-strongest l_max users seated per subcarrier, budget-scaled mask powers (plus
-a handful of alternative seatings on desk-scale instances, best result kept).
-The seating is held fixed through the sweeps by an effective mask, so the
-product-form selection constraints hold exactly along the trajectory and the
-multiplier families for them stay quiescent unless a loose seating is used.
+Every solve runs over exclusive seatings: each user on one head, at most
+l_max users per subcarrier, seated entries at budget-scaled mask power (see
+``greedy_init``).  The seating is held fixed through the sweeps by an
+effective mask, so the head-selection and multiplexing constraints hold
+exactly along the trajectory and need no multipliers.  Desk-scale instances
+run several head assignments (all of them when there are few) and keep the
+best result.
 
 The printed closed-form updates this solver descends from show inconsistent
 index patterns in their pressure sums, so all terms here are derived directly
@@ -40,17 +41,32 @@ cross-checks the vectorized sweep against an independent scalar evaluator.
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
-from . import model, parallel
+from . import model
 from .model import (LN2, ChannelState, NetworkConfig, PowerAllocation,
                     cross_interference, oriented_pairs, stronger_mask)
 
 _Z_FLOOR = 1e-300
+
+# subgradient gains of the budget, rate and cancellation-order multipliers: a
+# full-scale violation moves a multiplier by this fraction of its useful size
+_BUDGET_GAIN = 0.6
+_RATE_GAIN = 0.8
+_SIC_GAIN = 0.6
+# sweeps a round runs before its convergence test may stop it
+_MIN_SWEEPS = 8
+# instances with at most this many power entries run several starts: every
+# head assignment when there are at most _MULTISTART_ASSIGNMENTS of them
+# (M**K; the desk-scale oracle panel has at most 8), else the best-service
+# and the peak-gain assignments
+_MULTISTART_CELLS = 16
+_MULTISTART_ASSIGNMENTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -163,56 +179,22 @@ def dc_linearize(alloc_prev: PowerAllocation, ch: ChannelState,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TupleDuals:
-    """Sparse multipliers of the per-subcarrier multiplexing products.
-
-    Only user tuples observed near violation are materialized; row q is one
-    constraint on (rrh[q], sub[q]) over users[q], a sorted tuple of l_max+1
-    distinct users."""
-
-    rrh: np.ndarray     # (Q,)
-    sub: np.ndarray     # (Q,)
-    users: np.ndarray   # (Q, l_max+1)
-    values: np.ndarray  # (Q,)
-    steps: np.ndarray   # (Q,) slack normalization per row
-    keys: set = field(default_factory=set)
-
-    @classmethod
-    def empty(cls, ell: int) -> "TupleDuals":
-        return cls(rrh=np.zeros(0, dtype=np.int64), sub=np.zeros(0, dtype=np.int64),
-                   users=np.zeros((0, ell), dtype=np.int64), values=np.zeros(0),
-                   steps=np.zeros(0), keys=set())
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass
 class DualState:
     """Non-negative multipliers of the relaxed constraint families.
 
     xi      (M,)            per-RRH power budgets
     zeta    (K,)            streaming minimum rates (zero rows for elastic)
-    theta   (M, M, K, N, N) single-serving-RRH pair products; [m, m', ...] and
-                            [m', m, ...] track the same constraint and remain
-                            equal because their residuals are equal
-    theta_p sparse          per-subcarrier multiplexing tuple products
     zeta_t  (M, P, N)       cancellation-order constraints, one per oriented
                             channel pair on each (m, n)
     """
 
     xi: np.ndarray
     zeta: np.ndarray
-    theta: np.ndarray
-    theta_p: TupleDuals
     zeta_t: np.ndarray
 
     def max_entry(self) -> float:
-        vals = [self.xi.max(initial=0.0), self.zeta.max(initial=0.0),
-                self.theta.max(initial=0.0), self.zeta_t.max(initial=0.0)]
-        if len(self.theta_p):
-            vals.append(float(self.theta_p.values.max()))
-        return float(max(vals))
+        return float(max(self.xi.max(initial=0.0), self.zeta.max(initial=0.0),
+                         self.zeta_t.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -223,14 +205,10 @@ class StepRule:
 
     xi_step: np.ndarray      # (M,)
     zeta_step: np.ndarray    # (K,)
-    theta_step: np.ndarray   # (M, M, K, N, N)
     sic_step: np.ndarray     # (M, P, N)
-    tuple_gain: float        # combined with per-row mask factors on materialization
     xi_cap: float
     zeta_cap: float
-    theta_cap: float
     sic_cap: float
-    tuple_cap: float
 
     @staticmethod
     def at(v: int) -> float:
@@ -243,9 +221,6 @@ class ConstraintSlacks:
 
     budget: np.ndarray          # (M,)
     rate: np.ndarray            # (K,) target minus surrogate rate, streaming rows
-    pair: np.ndarray | None     # (M, M, K, N, N); same-RRH blocks at -rho1;
-                                # None when the seating keeps the family inactive
-    tuples: np.ndarray | None   # (Q,) product minus rho2, or None as above
     sic: np.ndarray             # (M, P, N) linearized margin residual
 
 
@@ -253,29 +228,13 @@ def dual_update(duals: DualState, slacks: ConstraintSlacks, step: StepRule,
                 v: int = 1) -> DualState:
     """One projected subgradient step: mu <- max(0, mu + step_v * residual),
     capped per family so a persistently infeasible constraint is detected
-    instead of overflowing.  A residual of None means the family is provably
-    inactive for this iterate structure and its multipliers pass through."""
+    instead of overflowing."""
     damp = step.at(v)
     xi = np.clip(duals.xi + damp * step.xi_step * slacks.budget, 0.0, step.xi_cap)
     zeta = np.clip(duals.zeta + damp * step.zeta_step * slacks.rate, 0.0, step.zeta_cap)
-    if slacks.pair is None:
-        theta = duals.theta
-    else:
-        theta = np.clip(duals.theta + damp * step.theta_step * slacks.pair,
-                        0.0, step.theta_cap)
-        idx = np.arange(theta.shape[0])
-        theta[idx, idx] = 0.0  # same-RRH blocks carry no constraint
-    tp = duals.theta_p
-    if slacks.tuples is None or not len(tp):
-        new_tp = tp
-    else:
-        new_vals = np.clip(tp.values + damp * tp.steps * slacks.tuples,
-                           0.0, step.tuple_cap)
-        new_tp = TupleDuals(rrh=tp.rrh, sub=tp.sub, users=tp.users, values=new_vals,
-                            steps=tp.steps, keys=tp.keys)
     zeta_t = np.clip(duals.zeta_t + damp * step.sic_step * slacks.sic,
                      0.0, step.sic_cap)
-    return DualState(xi=xi, zeta=zeta, theta=theta, theta_p=new_tp, zeta_t=zeta_t)
+    return DualState(xi=xi, zeta=zeta, zeta_t=zeta_t)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +276,6 @@ def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficie
         for l in range(k_count):
             psi_cross += (cfg.weights[mp, l] * zeta_of[l] * coeffs.alpha[mp, l, n]
                           * ch.gamma[m, l, n] / (floor[mp, l, n] * LN2))
-    # single-serving-RRH product pressure (both stored orderings of each pair)
-    psi_pair = 0.0
-    for mp in range(m_count):
-        if mp == m:
-            continue
-        for npp in range(p.shape[2]):
-            psi_pair += (duals.theta[m, mp, k, n, npp]
-                         + duals.theta[mp, m, k, npp, n]) * p[mp, k, npp]
-    # multiplexing tuple pressure: materialized tuples on (m, n) containing k
-    psi_tuple = 0.0
-    tp = duals.theta_p
-    for q in range(len(tp)):
-        if tp.rrh[q] != m or tp.sub[q] != n or k not in tp.users[q]:
-            continue
-        others = [u for u in tp.users[q] if u != k]
-        psi_tuple += tp.values[q] * float(np.prod([p[m, u, n] for u in others]))
 
     # cancellation-order pressure: the numerator collects the tangent
     # components of the linearized concave part, the denominator the
@@ -359,7 +302,7 @@ def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficie
                 den_sic += zt * p[mm, a, n] * p[mm, b, n] * g_b * ch.gamma[m, a, n]
                 num_sic += (zt * g_a * p_lin[mm, a, n] * p_lin[mm, b, n]
                             * p_lin[m, k, n] * ch.gamma[m, b, n])
-    return psi_same, psi_cross, psi_pair, psi_tuple, num_sic, den_sic
+    return psi_same, psi_cross, num_sic, den_sic
 
 
 def elastic_power_update(state: SweepState, duals: DualState, coeffs: ScaleCoefficients,
@@ -368,11 +311,10 @@ def elastic_power_update(state: SweepState, duals: DualState, coeffs: ScaleCoeff
     """Closed-form stationarity solution for one elastic entry, clamped to
     [0, mask].  A non-positive denominator means nothing bounds the ascent,
     so the mask is returned."""
-    psi_same, psi_cross, psi_pair, psi_tuple, num_sic, den_sic = _entry_pressures(
+    psi_same, psi_cross, num_sic, den_sic = _entry_pressures(
         state, duals, coeffs, ch, cfg, m, k, n)
     num = cfg.weights[m, k] * coeffs.alpha[m, k, n] / LN2 + num_sic
-    den = (e * cfg.eta[m] + duals.xi[m] + psi_same + psi_cross + psi_pair
-           + psi_tuple + den_sic)
+    den = e * cfg.eta[m] + duals.xi[m] + psi_same + psi_cross + den_sic
     if num <= 0:
         return 0.0
     if den <= 0:
@@ -387,10 +329,10 @@ def streaming_power_update(state: SweepState, duals: DualState, coeffs: ScaleCoe
     elastic case, except the rate term is scaled by the user's minimum-rate
     multiplier and the amplifier term is absent (streaming power does not
     enter the efficiency objective's power model)."""
-    psi_same, psi_cross, psi_pair, psi_tuple, num_sic, den_sic = _entry_pressures(
+    psi_same, psi_cross, num_sic, den_sic = _entry_pressures(
         state, duals, coeffs, ch, cfg, m, k, n)
     num = duals.zeta[k] * cfg.weights[m, k] * coeffs.alpha[m, k, n] / LN2 + num_sic
-    den = duals.xi[m] + psi_same + psi_cross + psi_pair + psi_tuple + den_sic
+    den = duals.xi[m] + psi_same + psi_cross + den_sic
     if num <= 0:
         return 0.0
     if den <= 0:
@@ -477,7 +419,6 @@ def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
 
 @dataclass
 class _Snapshot:
-    p: np.ndarray
     num: np.ndarray
     den: np.ndarray
     slacks: ConstraintSlacks
@@ -488,34 +429,29 @@ class _Snapshot:
 
 class ScaleSolver:
     """Fixed-parameter inner solver; plugs into the fractional-programming
-    outer loop.  workers > 1 routes the closed-form sweep through the parallel
-    module's chunked plan; the output is identical to the serial sweep."""
+    outer loop.  collect_trace records one (round, sweep, objective,
+    max_violation, step_norm) tuple per sweep in SolveStats.trace."""
 
-    def __init__(self, workers: int = 1, collect_trace: bool = False,
-                 gains: tuple[float, float, float, float, float] = (0.6, 0.8, 0.6, 0.6, 0.6),
-                 damping: float = 1.0, min_sweeps: int = 8,
-                 multistart_cells: int = 16):
-        self.workers = workers
+    def __init__(self, collect_trace: bool = False):
         self.collect_trace = collect_trace
-        self.gains = gains
-        self.damping = damping
-        self.min_sweeps = min_sweeps
-        # instances with at most this many power entries get extra seatings
-        self.multistart_cells = multistart_cells
 
     def solve_fixed_e(self, ch: ChannelState, cfg: NetworkConfig, e: float,
                       warm_start: PowerAllocation | None = None) -> InnerResult:
         t0 = time.perf_counter()
         stats = SolveStats()
-        ctx = _SolveContext(ch, cfg, e, self.gains)
+        ctx = _SolveContext(ch, cfg, e)
 
         if warm_start is not None:
             starts = [np.clip(warm_start.p, ctx.p_floor, cfg.p_mask)]
             stats.used_warm_start = True
+        elif ch.gamma.size <= _MULTISTART_CELLS:
+            if cfg.n_rrh ** cfg.n_users <= _MULTISTART_ASSIGNMENTS:
+                assignments = itertools.product(range(cfg.n_rrh), repeat=cfg.n_users)
+            else:
+                assignments = [None, np.argmax(ch.gamma.max(axis=2), axis=0)]
+            starts = [greedy_init(cfg, ch, heads) for heads in assignments]
         else:
             starts = [greedy_init(cfg, ch)]
-            if ch.gamma.size <= self.multistart_cells:
-                starts.extend(_alternate_seatings(cfg, ch, ctx.p_floor))
 
         best_p, best_val, best_objs, best_res = None, -np.inf, [], float("nan")
         for p0 in starts:
@@ -558,12 +494,7 @@ class ScaleSolver:
         rejected, which also keeps the true objective nondecreasing."""
         cfg, ch = ctx.cfg, ctx.ch
         tol = cfg.tolerances
-        active = p0 > ctx.p_floor
-        mask_eff = np.where(active, cfg.p_mask, ctx.p_floor)
-        # an exclusive seating (one head per user, within the per-subcarrier
-        # limit) keeps every selection product below its slack level for the
-        # whole trajectory, so those multiplier families can idle
-        products_active = not _seating_exclusive(active, cfg.l_max)
+        mask_eff = np.where(p0 > ctx.p_floor, cfg.p_mask, ctx.p_floor)
         duals = ctx.fresh_duals()
         p = p0
         xi = np.zeros(cfg.n_rrh)
@@ -576,21 +507,19 @@ class ScaleSolver:
             lin = ctx.linearize(p)
             p_round = p
             for v in range(1, tol.v_max + 1):
-                snap = ctx.analyze(p, duals, coeffs, lin, products_active)
+                snap = ctx.analyze(p, duals, coeffs, lin)
                 xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi)
-                p_next = self._sweep(ctx, snap, xi, mask_eff)
+                p_next = ctx.sweep(snap, xi, mask_eff)
                 stats.denominator_floor_hits += snap.floor_hits
                 duals = dual_update(duals, snap.slacks, ctx.step_rule, v)
                 duals.xi = xi
-                if products_active:
-                    ctx.materialize_tuples(p_next, duals)
                 delta = np.abs(p_next - p).max(axis=(1, 2))
                 if self.collect_trace:
                     stats.trace.append((s, v, snap.objective, snap.max_violation,
                                         float((delta / cfg.p_max).max())))
                 p = p_next
                 stats.total_sweeps += 1
-                if v >= self.min_sweeps and np.all(delta < eps1):
+                if v >= _MIN_SWEEPS and np.all(delta < eps1):
                     break
             rejected = ctx.surrogate_objective(p, coeffs) < ctx.surrogate_objective(
                 p_round, coeffs)
@@ -607,49 +536,19 @@ class ScaleSolver:
 
         # fixed-point spot check: one more closed-form evaluation at the end
         # point with the final multipliers must reproduce it
-        snap = ctx.analyze(p, duals, coeffs, ctx.linearize(p), products_active)
+        snap = ctx.analyze(p, duals, coeffs, ctx.linearize(p))
         xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi)
-        p_check = self._sweep(ctx, snap, xi, mask_eff)
+        p_check = ctx.sweep(snap, xi, mask_eff)
         residual = float((np.abs(p_check - p).max(axis=(1, 2)) / cfg.p_max).max())
         stats.max_dual = max(stats.max_dual, duals.max_entry())
         return p, round_objs, residual
-
-    def _sweep(self, ctx: "_SolveContext", snap: _Snapshot,
-               xi: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        den = snap.den + xi[:, None, None]
-        if self.workers <= 1:
-            out = _closed_form(snap.num, den, mask, ctx.p_floor)
-        else:
-            m_count, k_count, n_count = snap.num.shape
-            rows = m_count * k_count
-            shape = (rows, n_count)
-            snapshot = {"num": snap.num.reshape(shape), "den": den.reshape(shape),
-                        "mask": mask.reshape(shape)}
-            n_chunks = min(4 * self.workers, rows)
-            bounds = [round(i * rows / n_chunks) for i in range(n_chunks + 1)]
-            tasks = [(np.s_[lo:hi, :], (lo, hi))
-                     for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-            plan = parallel.build_plan(tasks, snapshot, shape)
-            floor = ctx.p_floor
-
-            def chunk_update(snapshot: Mapping[str, np.ndarray], payload):
-                lo, hi = payload
-                return _closed_form(snapshot["num"][lo:hi], snapshot["den"][lo:hi],
-                                    snapshot["mask"][lo:hi], floor)
-
-            out = parallel.parallel_sweep(plan, chunk_update, workers=self.workers)
-            out = out.reshape(snap.num.shape)
-        if self.damping != 1.0:
-            out = (1.0 - self.damping) * snap.p + self.damping * out
-        return out
 
 
 class _SolveContext:
     """Everything fixed for one solve_fixed_e call, plus the vectorized
     per-sweep analysis."""
 
-    def __init__(self, ch: ChannelState, cfg: NetworkConfig, e: float,
-                 gains: tuple[float, float, float, float, float]):
+    def __init__(self, ch: ChannelState, cfg: NetworkConfig, e: float):
         self.ch = ch
         self.cfg = cfg
         self.e = e
@@ -662,7 +561,6 @@ class _SolveContext:
         # pure log-domain safety: far below any noise floor so an 'off'
         # entry cannot register as interference
         self.p_floor = 1e-30 * cfg.max_mask
-        self.ell = cfg.l_max + 1
         self.weights = cfg.weights
 
         self.strong_idx, self.weak_idx = oriented_pairs(ch.gamma)
@@ -692,21 +590,15 @@ class _SolveContext:
         # family's useful multiplier magnitude
         p_ref = 0.5 * float(cfg.p_max.mean()) / (k_count * n_count)
         den_scale = max(e * float(cfg.eta.max()), 1.0 / (LN2 * p_ref))
-        g_budget, g_rate, g_pair, g_tuple, g_sic = gains
-        mask_pair = np.einsum("mkn,qkr->mqknr", cfg.p_mask, cfg.p_mask)
         cap = cfg.tolerances.dual_cap
         self.step_rule = StepRule(
-            xi_step=g_budget * den_scale / cfg.p_max,
-            zeta_step=np.full(k_count, g_rate / self.rate_scale),
-            theta_step=g_pair * (den_scale / p_ref) / (mask_pair + 1e-300),
-            sic_step=(g_sic * den_scale
+            xi_step=_BUDGET_GAIN * den_scale / cfg.p_max,
+            zeta_step=np.full(k_count, _RATE_GAIN / self.rate_scale),
+            sic_step=(_SIC_GAIN * den_scale
                       / (p_ref * self.sic_scale**2 * self.mask_s * self.mask_w + 1e-300)),
-            tuple_gain=g_tuple * den_scale / p_ref ** (self.ell - 1),
             xi_cap=cap * den_scale,
             zeta_cap=cap,
-            theta_cap=cap * den_scale / p_ref,
             sic_cap=cap * den_scale / p_ref,
-            tuple_cap=cap * den_scale / p_ref ** (self.ell - 1),
         )
         self.den_floor = 1e-12 * den_scale
 
@@ -715,13 +607,8 @@ class _SolveContext:
         m_count, k_count, n_count = self.shape
         zeta = np.zeros(k_count)
         zeta[self.streaming] = 1.0  # unit rate pressure from the start
-        return DualState(
-            xi=np.zeros(m_count),
-            zeta=zeta,
-            theta=np.zeros((m_count, m_count, k_count, n_count, n_count)),
-            theta_p=TupleDuals.empty(self.ell),
-            zeta_t=np.zeros((m_count, self.n_pairs, n_count)),
-        )
+        return DualState(xi=np.zeros(m_count), zeta=zeta,
+                         zeta_t=np.zeros((m_count, self.n_pairs, n_count)))
 
     def linearize(self, p_lin: np.ndarray) -> dict:
         """Tangent constants of the subtracted cross-product term for every
@@ -736,9 +623,9 @@ class _SolveContext:
 
     # -- per-sweep analysis ---------------------------------------------------
     def analyze(self, p: np.ndarray, duals: DualState, coeffs: ScaleCoefficients,
-                lin: dict, products_active: bool = True) -> _Snapshot:
+                lin: dict) -> _Snapshot:
         ch, cfg = self.ch, self.cfg
-        m_count, k_count, n_count = self.shape
+        m_count, _, n_count = self.shape
         gamma = ch.gamma
 
         cross = cross_interference(p, ch)
@@ -757,22 +644,6 @@ class _SolveContext:
         u_tot = u.sum(axis=0)
         psi_cross = (np.einsum("mln,ln->mn", gamma, u_tot)
                      - np.einsum("mln,mln->mn", gamma, u))[:, None, :]
-
-        if products_active:
-            psi_pair = 2.0 * np.einsum("mqknr,qkr->mkn", duals.theta, p)
-        else:
-            psi_pair = 0.0
-
-        psi_tuple = 0.0
-        tp = duals.theta_p
-        tup_slack = np.zeros(0) if products_active else None
-        if products_active and len(tp):
-            members = p[tp.rrh[:, None], tp.users, tp.sub[:, None]]  # (Q, ell)
-            loo = _leave_one_out_products(members)
-            flat = ((tp.rrh[:, None] * k_count + tp.users) * n_count
-                    + tp.sub[:, None]).ravel()
-            psi_tuple = _scatter(flat, (tp.values[:, None] * loo).ravel(), self.shape)
-            tup_slack = members[:, 0] * loo[:, 0] - cfg.rho2
 
         num_sic = 0.0
         den_sic = 0.0
@@ -823,7 +694,7 @@ class _SolveContext:
         # multiplier exactly (bisection to complementary slackness), which
         # pins the iterate's scale; every other family stays on subgradients
         den = ((self.e * cfg.eta)[:, None, None] * self.elastic[None, :, None]
-               + psi_same + psi_cross + psi_pair + psi_tuple + den_sic)
+               + psi_same + psi_cross + den_sic)
         floor_hits = int(np.count_nonzero((den <= self.den_floor) & (num > 0)))
 
         budget = p.sum(axis=(1, 2)) - cfg.p_max
@@ -832,12 +703,6 @@ class _SolveContext:
         # hundreds of bits in one step
         rate = np.clip(np.where(self.elastic, 0.0, self.min_rates - r_user),
                        -2.0 * self.rate_scale, 2.0 * self.rate_scale)
-        if products_active:
-            pair = np.einsum("mkn,qkr->mqknr", p, p) - cfg.rho1
-            idx = np.arange(m_count)
-            pair[idx, idx] = -cfg.rho1
-        else:
-            pair = None
 
         objective = float(
             np.sum(r_hat[:, self.elastic, :] * self.weights[:, self.elastic, None])
@@ -845,54 +710,16 @@ class _SolveContext:
         max_violation = max(
             float(np.max(budget / cfg.p_max, initial=-np.inf)),
             float(np.max(rate, initial=-np.inf)),
-            (float(np.max(pair, initial=-np.inf)) / cfg.rho1
-             if pair is not None else -np.inf),
-            (float(np.max(tup_slack, initial=-np.inf)) / cfg.rho2
-             if tup_slack is not None and tup_slack.size else -np.inf),
             (float(np.max(sic_slack / (self.sic_scale * self.mask_s * self.mask_w)))
              if self.n_pairs else -np.inf),
         )
-        slacks = ConstraintSlacks(budget=budget, rate=rate, pair=pair,
-                                  tuples=tup_slack, sic=sic_slack)
-        return _Snapshot(p=p, num=num, den=den, slacks=slacks, objective=objective,
+        slacks = ConstraintSlacks(budget=budget, rate=rate, sic=sic_slack)
+        return _Snapshot(num=num, den=den, slacks=slacks, objective=objective,
                          max_violation=max_violation, floor_hits=floor_hits)
 
-    # -- tuple materialization -------------------------------------------------
-    def materialize_tuples(self, p: np.ndarray, duals: DualState) -> None:
-        """Track the per-(m, n) top power tuples: any tuple whose product nears
-        the slack level gets its own multiplier row.  Rows whose constraint
-        went quiet with a zero multiplier are pruned when the set grows."""
-        cfg = self.cfg
-        if cfg.n_users < self.ell:
-            return
-        tp = duals.theta_p
-        top = np.argpartition(p, -self.ell, axis=1)[:, -self.ell:, :]  # (M, ell, N)
-        prods = np.take_along_axis(p, top, axis=1).prod(axis=1)        # (M, N)
-        new_rows = []
-        for m, n in np.argwhere(prods > 0.25 * cfg.rho2):
-            key = (int(m), int(n), tuple(sorted(int(u) for u in top[m, :, n])))
-            if key not in tp.keys:
-                new_rows.append(key)
-        if new_rows:
-            add_m = np.array([r[0] for r in new_rows], dtype=np.int64)
-            add_n = np.array([r[1] for r in new_rows], dtype=np.int64)
-            add_u = np.array([r[2] for r in new_rows], dtype=np.int64)
-            mask_prod = cfg.p_mask[add_m[:, None], add_u, add_n[:, None]].prod(axis=1)
-            tp.rrh = np.concatenate([tp.rrh, add_m])
-            tp.sub = np.concatenate([tp.sub, add_n])
-            tp.users = np.concatenate([tp.users, add_u], axis=0)
-            tp.values = np.concatenate([tp.values, np.zeros(len(new_rows))])
-            tp.steps = np.concatenate([tp.steps,
-                                       self.step_rule.tuple_gain / (mask_prod + 1e-300)])
-            tp.keys.update(new_rows)
-        if len(tp) > 4096:
-            members = p[tp.rrh[:, None], tp.users, tp.sub[:, None]]
-            keep = (tp.values > 0) | (members.prod(axis=1) > 0.25 * cfg.rho2)
-            duals.theta_p = TupleDuals(
-                rrh=tp.rrh[keep], sub=tp.sub[keep], users=tp.users[keep],
-                values=tp.values[keep], steps=tp.steps[keep],
-                keys={(int(m), int(n), tuple(int(u) for u in us))
-                      for m, n, us in zip(tp.rrh[keep], tp.sub[keep], tp.users[keep])})
+    def sweep(self, snap: _Snapshot, xi: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Closed-form power update from one snapshot and budget multipliers."""
+        return _closed_form(snap.num, snap.den + xi[:, None, None], mask, self.p_floor)
 
     # -- objectives -----------------------------------------------------------
     def power_of(self, p: np.ndarray) -> float:
@@ -1004,16 +831,6 @@ class _SolveContext:
         return removed
 
 
-def _seating_exclusive(active: np.ndarray, l_max: int) -> bool:
-    """True when every user is active on at most one RRH and every (m, n)
-    seats at most l_max users: then the selection products are bounded by
-    (power floor) * mask and can never approach their slack levels."""
-    per_rrh = active.any(axis=2)          # (M, K)
-    if np.any(per_rrh.sum(axis=0) > 1):
-        return False
-    return bool(np.all(active.sum(axis=1) <= l_max))
-
-
 def service_scores(cfg: NetworkConfig, ch: ChannelState) -> np.ndarray:
     """(M, K) serving quality of each head for each user: mean achievable
     rate at mask power against full-load interference from every other head.
@@ -1027,22 +844,26 @@ def service_scores(cfg: NetworkConfig, ch: ChannelState) -> np.ndarray:
 
 
 def greedy_init(cfg: NetworkConfig, ch: ChannelState,
-                rank_by_mean: bool = True) -> np.ndarray:
-    """Structured starting point: each user on the head that serves it best
-    under full-load interference; every streaming user gets one seat on its
-    best subcarrier (its rate is a constraint, not the objective; the repair
-    widens it when one seat is short); elastic users fill every remaining
-    seat, strongest assigned gain first.  Seated entries start at mask power
-    rescaled into the budget, everything else at the log floor."""
+                heads: Sequence[int] | None = None) -> np.ndarray:
+    """Exclusive starting seating: each user on one head, heads[k] when given
+    and otherwise the head that serves it best under full-load interference;
+    every streaming user gets one seat on its best subcarrier that still has
+    a free seat (its rate is a constraint, not the objective; the repair
+    widens it when one seat is short, and seats it when none was free);
+    elastic users fill every remaining seat, strongest assigned gain first.
+    Seated entries start at mask power rescaled into the budget, everything
+    else at the log floor."""
     m_count, k_count, n_count = ch.gamma.shape
     floor = 1e-30 * cfg.max_mask
-    rank = service_scores(cfg, ch) if rank_by_mean else ch.gamma.max(axis=2)
-    best = np.argmax(rank, axis=0)  # (K,)
+    best = (np.argmax(service_scores(cfg, ch), axis=0) if heads is None
+            else np.asarray(heads))
     active = np.zeros((m_count, k_count, n_count), dtype=bool)
 
     for k in cfg.streaming_users():
         m = int(best[k])
-        active[m, k, int(np.argmax(ch.gamma[m, k, :]))] = True
+        free = active[m].sum(axis=0) < cfg.l_max  # (N,)
+        if free.any():
+            active[m, k, int(np.argmax(np.where(free, ch.gamma[m, k, :], -np.inf)))] = True
 
     elastic = cfg.elastic_mask()
     for m in range(m_count):
@@ -1058,29 +879,6 @@ def greedy_init(cfg: NetworkConfig, ch: ChannelState,
     p = np.where(active, cfg.p_mask, floor)
     scale = np.minimum(1.0, cfg.p_max / np.maximum(p.sum(axis=(1, 2)), 1e-300))
     return np.maximum(p * scale[:, None, None], floor)
-
-
-def _alternate_seatings(cfg: NetworkConfig, ch: ChannelState,
-                        floor: float) -> list[np.ndarray]:
-    """Extra starting points for desk-scale instances: a peak-gain seating and
-    a fully open one (every entry active, selection left to the multipliers)."""
-    seatings = [greedy_init(cfg, ch, rank_by_mean=False)]
-    p = cfg.p_mask.copy()
-    scale = np.minimum(1.0, cfg.p_max / np.maximum(p.sum(axis=(1, 2)), 1e-300))
-    seatings.append(np.maximum(p * scale[:, None, None], floor))
-    return seatings
-
-
-def _leave_one_out_products(members: np.ndarray) -> np.ndarray:
-    """(Q, L) -> (Q, L) products of each row excluding each column, via
-    prefix/suffix products (no division, safe at zeros)."""
-    q, L = members.shape
-    prefix = np.ones((q, L))
-    suffix = np.ones((q, L))
-    for i in range(1, L):
-        prefix[:, i] = prefix[:, i - 1] * members[:, i - 1]
-        suffix[:, L - 1 - i] = suffix[:, L - i] * members[:, L - i]
-    return prefix * suffix
 
 
 def _trim_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,

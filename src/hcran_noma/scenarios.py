@@ -98,8 +98,8 @@ def build_config(architecture: str = "hcran", k_total: int = 12,
     n_nodes = len(nodes)
 
     r = DISC_RADIUS_M * np.sqrt(rng.uniform(size=k_total))
-    theta = 2.0 * np.pi * rng.uniform(size=k_total)
-    positions = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    angle = 2.0 * np.pi * rng.uniform(size=k_total)
+    positions = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
     traffic = TrafficSpec.from_queue(queue_packets, arrival_rate, packet_bits)
     users = tuple(
         UserSpec(kind="streaming" if k < k_streaming else "elastic",

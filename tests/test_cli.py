@@ -97,13 +97,6 @@ class TestCommands:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 3  # header + 2 sweep points
 
-    def test_bench_smoke(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = cli.main(["bench", "--grid", "2,32,4", "--reps", "1",
-                       "--workers", "2", "--out", str(out)])
-        assert rc == 0
-        assert "speedup" in out.read_text()
-
     def test_overhead_csv(self, tmp_path):
         out = tmp_path / "overhead.csv"
         rc = cli.main(["overhead", "--m", "3", "--n", "8", "--k-range", "4:8",

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hcran_noma import model, scale
 from hcran_noma.model import ChannelState, PowerAllocation
-from hcran_noma.scale import (ScaleSolver, SweepState, TupleDuals,
+from hcran_noma.scale import (ScaleSolver, SweepState,
                               approx_rate, approx_rate_array, coeffs_at,
                               dc_linearize, dual_update, elastic_power_update,
                               greedy_init, high_sir_coeffs, scale_coeffs,
@@ -11,8 +14,6 @@ from hcran_noma.scale import (ScaleSolver, SweepState, TupleDuals,
                               _SolveContext)
 
 from conftest import make_config, make_channel
-
-GAINS = (0.6, 0.8, 0.6, 0.6, 0.6)
 
 
 class TestScaleCoeffs:
@@ -132,29 +133,19 @@ class TestDcLinearize:
 
 def _mid_solve_state(seed=10, m=2, k=4, n=3, streaming=(0,)):
     """A synthetic mid-solve configuration with every multiplier family
-    populated, for cross-checking the vectorized sweep against the scalar
-    reference updates."""
+    (budget, rate, cancellation order) populated, for cross-checking the
+    vectorized sweep against the scalar reference updates."""
     cfg = make_config(m=m, k=k, n=n, streaming=streaming)
     ch = make_channel(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     p = rng.uniform(1e-4, 1.0, ch.gamma.shape) * cfg.p_mask
     p_lin = rng.uniform(1e-4, 1.0, ch.gamma.shape) * cfg.p_mask
-    ctx = _SolveContext(ch, cfg, e=rng.uniform(0.1, 2.0), gains=GAINS)
+    ctx = _SolveContext(ch, cfg, e=rng.uniform(0.1, 2.0))
 
     duals = ctx.fresh_duals()
     duals.xi = rng.uniform(0, 5.0, m)
     duals.zeta = np.where(cfg.elastic_mask(), 0.0, rng.uniform(0.5, 2.0, k))
-    theta = rng.uniform(0, 1e3, duals.theta.shape)
-    theta = 0.5 * (theta + np.transpose(theta, (1, 0, 2, 4, 3)))  # symmetric
-    idx = np.arange(m)
-    theta[idx, idx] = 0.0
-    duals.theta = theta
     duals.zeta_t = rng.uniform(0, 1e4, duals.zeta_t.shape)
-    users = np.array([sorted(rng.choice(k, size=cfg.l_max + 1, replace=False))])
-    duals.theta_p = TupleDuals(
-        rrh=np.array([0]), sub=np.array([0]), users=users,
-        values=np.array([rng.uniform(0, 1e2)]), steps=np.array([1.0]),
-        keys={(0, 0, tuple(users[0]))})
     return cfg, ch, ctx, duals, p, p_lin
 
 
@@ -187,7 +178,7 @@ class TestPowerUpdates:
         cfg = make_config(m=1, k=1, n=1, p_max=[5.0], eta=[1.0])
         shape = (1, 1, 1)
         ch = ChannelState(gamma=np.ones(shape), sigma=np.ones(shape))
-        ctx = _SolveContext(ch, cfg, e=1.0 / np.log(2.0), gains=GAINS)
+        ctx = _SolveContext(ch, cfg, e=1.0 / np.log(2.0))
         duals = ctx.fresh_duals()
         coeffs = high_sir_coeffs(shape)
         state = SweepState(p=np.full(shape, 0.1), p_lin=np.full(shape, 0.1))
@@ -199,7 +190,7 @@ class TestPowerUpdates:
         cfg = make_config(m=1, k=1, n=1, p_max=[0.4], eta=[1.0])
         shape = (1, 1, 1)
         ch = ChannelState(gamma=np.ones(shape), sigma=np.ones(shape))
-        ctx = _SolveContext(ch, cfg, e=1e-6, gains=GAINS)
+        ctx = _SolveContext(ch, cfg, e=1e-6)
         duals = ctx.fresh_duals()
         state = SweepState(p=np.full(shape, 0.1), p_lin=np.full(shape, 0.1))
         got = elastic_power_update(state, duals, high_sir_coeffs(shape), ch, cfg,
@@ -209,7 +200,7 @@ class TestPowerUpdates:
     def test_streaming_zero_incentive(self):
         cfg = make_config(m=1, k=2, n=1, streaming=(0,))
         ch = make_channel(cfg, seed=11)
-        ctx = _SolveContext(ch, cfg, e=0.5, gains=GAINS)
+        ctx = _SolveContext(ch, cfg, e=0.5)
         duals = ctx.fresh_duals()
         duals.zeta[:] = 0.0
         state = SweepState(p=np.full(ch.gamma.shape, 0.01),
@@ -221,7 +212,7 @@ class TestPowerUpdates:
     def test_streaming_monotone_in_rate_multiplier(self):
         cfg = make_config(m=1, k=2, n=1, streaming=(0,))
         ch = make_channel(cfg, seed=12)
-        ctx = _SolveContext(ch, cfg, e=0.5, gains=GAINS)
+        ctx = _SolveContext(ch, cfg, e=0.5)
         coeffs = high_sir_coeffs(ch.gamma.shape)
         state = SweepState(p=np.full(ch.gamma.shape, 0.01),
                            p_lin=np.full(ch.gamma.shape, 0.01))
@@ -241,13 +232,10 @@ class TestDualUpdate:
         slacks = scale.ConstraintSlacks(
             budget=-np.ones(cfg.n_rrh),
             rate=-np.ones(cfg.n_users),
-            pair=np.full(duals.theta.shape, -1.0),
-            tuples=np.zeros(0),
             sic=np.full(duals.zeta_t.shape, -1.0))
-        duals.theta_p = TupleDuals.empty(cfg.l_max + 1)
         out = dual_update(duals, slacks, ctx.step_rule, v=1)
         assert out.xi.max() == 0 and out.zeta.max() == 0
-        assert out.theta.max() == 0 and out.zeta_t.max() == 0
+        assert out.zeta_t.max() == 0
 
     def test_budget_violation_step(self):
         cfg, ch, ctx, duals, p, p_lin = _mid_solve_state(seed=21)
@@ -256,7 +244,6 @@ class TestDualUpdate:
         slacks = scale.ConstraintSlacks(
             budget=np.array([delta] + [0.0] * (cfg.n_rrh - 1)),
             rate=np.zeros(cfg.n_users),
-            pair=None, tuples=None,
             sic=np.zeros(duals.zeta_t.shape))
         out = dual_update(duals, slacks, ctx.step_rule, v=4)
         expected = ctx.step_rule.xi_step[0] * delta / np.sqrt(4)
@@ -269,7 +256,6 @@ class TestDualUpdate:
         slacks = scale.ConstraintSlacks(
             budget=np.full(cfg.n_rrh, 1e9),
             rate=np.zeros(cfg.n_users),
-            pair=None, tuples=None,
             sic=np.zeros(duals.zeta_t.shape))
         for v in range(1, 2000):
             duals = dual_update(duals, slacks, ctx.step_rule, v)
@@ -282,13 +268,10 @@ class TestDualUpdate:
             slacks = scale.ConstraintSlacks(
                 budget=rng.normal(0, 1, cfg.n_rrh),
                 rate=rng.normal(0, 1, cfg.n_users),
-                pair=rng.normal(0, 1, duals.theta.shape),
-                tuples=rng.normal(0, 1, len(duals.theta_p)),
                 sic=rng.normal(0, 1, duals.zeta_t.shape))
             duals = dual_update(duals, slacks, ctx.step_rule, v)
             assert duals.xi.min() >= 0 and duals.zeta.min() >= 0
-            assert duals.theta.min() >= 0 and duals.zeta_t.min() >= 0
-            assert duals.theta_p.values.min() >= 0
+            assert duals.zeta_t.min() >= 0
 
 
 class TestBudgetDual:
@@ -401,17 +384,40 @@ class TestGreedyInit:
             for k in cfg.streaming_users():
                 assert active[:, k, :].any()
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 3), k=st.integers(1, 6), n=st.integers(1, 4),
+           l_max=st.integers(1, 3), n_streaming=st.integers(0, 6),
+           seed=st.integers(0, 2**16))
+    @example(m=2, k=6, n=2, l_max=1, n_streaming=6, seed=0)  # OMA, crowded
+    def test_exclusive_under_every_head_assignment(self, m, k, n, l_max,
+                                                   n_streaming, seed):
+        cfg = make_config(m=m, k=k, n=n, l_max=l_max,
+                          streaming=tuple(range(min(n_streaming, k))))
+        ch = make_channel(cfg, seed=seed)
+        for heads in itertools.product(range(m), repeat=k):
+            active = greedy_init(cfg, ch, heads) > 1e-20 * cfg.max_mask
+            assert np.all(active.any(axis=2).sum(axis=0) <= 1), heads
+            assert not np.any(active.any(axis=2) & (np.arange(m)[:, None]
+                                                    != np.array(heads))), heads
+            assert np.all(active.sum(axis=1) <= cfg.l_max), heads
+
     def test_budget_respected(self):
         cfg = make_config(m=2, k=5, n=3)
         ch = make_channel(cfg, seed=61)
         p0 = greedy_init(cfg, ch)
         assert np.all(p0.sum(axis=(1, 2)) <= cfg.p_max * (1 + 1e-9))
 
+    @pytest.mark.parametrize("k, n, starts", [(3, 2, 8), (8, 1, 2), (5, 4, 1)])
+    def test_multistart_count(self, monkeypatch, k, n, starts):
+        # every head assignment while there are at most 8 (2**3), two starts
+        # for a 16-entry shape with 256 assignments, one above 16 entries
+        calls = []
 
-class TestParallelSweepEquivalence:
-    def test_workers_identical(self):
-        cfg = make_config(m=2, k=4, n=3, streaming=(0,))
-        ch = make_channel(cfg, seed=70)
-        res1 = ScaleSolver(workers=1).solve_fixed_e(ch, cfg, e=0.4)
-        res8 = ScaleSolver(workers=8).solve_fixed_e(ch, cfg, e=0.4)
-        assert res1.allocation.p.tobytes() == res8.allocation.p.tobytes()
+        def counting(*args):
+            calls.append(args)
+            return greedy_init(*args)
+
+        monkeypatch.setattr(scale, "greedy_init", counting)
+        cfg = make_config(m=2, k=k, n=n)
+        ScaleSolver().solve_fixed_e(make_channel(cfg, seed=62), cfg, e=0.5)
+        assert len(calls) == starts
