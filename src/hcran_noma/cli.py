@@ -161,7 +161,7 @@ def _cmd_solve(args) -> int:
     scenario = replace(scenario, seed=args.seed if args.seed is not None else scenario.seed,
                        l_max=1 if args.oma else scenario.l_max)
     if args.oma:
-        cfg, _ = _rebuild(cfg, scenario)
+        cfg = replace(cfg, l_max=1)
     ch = gen_channel(cfg, np.random.default_rng([scenario.seed, 7]))
     solver = (PolyblockSolver(allow_high_dim=True) if args.solver == "polyblock"
               else ScaleSolver(collect_trace=True))
@@ -184,17 +184,6 @@ def _cmd_solve(args) -> int:
         _write_csv(Path(args.out), lines)
         _emit_plot_script(Path(args.out), "iteration", "e")
     return 0
-
-
-def _rebuild(cfg: NetworkConfig, scenario: Scenario) -> tuple[NetworkConfig, Scenario]:
-    rebuilt = build_config(
-        architecture=scenario.architecture, k_total=scenario.k_total,
-        k_streaming=scenario.k_streaming,
-        rng=np.random.default_rng([scenario.seed, 0]),
-        arrival_rate=scenario.arrival_rate, l_max=scenario.l_max,
-        n_subcarriers=scenario.n_subcarriers, bandwidth_hz=scenario.bandwidth_hz,
-        tolerances=cfg.tolerances)
-    return rebuilt, scenario
 
 
 def _cmd_sweep(args) -> int:
@@ -267,8 +256,7 @@ def _cmd_gap(args) -> int:
     scale_solver = ScaleSolver()
     for i in range(args.instances):
         inst = tiny_instance(rng)
-        poly = PolyblockSolver(allow_high_dim=True, max_dim=args.max_dim,
-                               max_iter=args.budget)
+        poly = PolyblockSolver(allow_high_dim=True, max_iter=args.budget)
         s_res = scale_solver.solve_fixed_e(inst.ch, inst.cfg, inst.e)
         p_res = poly.solve_fixed_e(inst.ch, inst.cfg, inst.e,
                                    warm_start=s_res.allocation
@@ -326,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap = sub.add_parser("gap", help="local solver vs global oracle on tiny instances")
     p_gap.add_argument("--instances", type=int, default=20)
     p_gap.add_argument("--seed", type=int, default=0)
-    p_gap.add_argument("--max-dim", type=int, default=40)
     p_gap.add_argument("--budget", type=int, default=800,
                        help="polyblock iteration budget per instance")
     p_gap.add_argument("--out")

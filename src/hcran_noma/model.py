@@ -14,11 +14,15 @@ Superposition decoding rule: on a given (m, n), a user is interfered by
 same-RRH users with *stronger* channels (their signals cannot be cancelled)
 and by every user of every other RRH.  Channel ties are broken by user index
 (lower index counts as stronger) so the decode order is a strict total order.
+The order depends on the channel gains alone, so ``ChannelState`` holds it:
+``ch.stronger`` is the dense (M, K, K, N) mask and ``ch.pairs`` the user
+pairs oriented by it, each built once per channel on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -185,9 +189,17 @@ class NetworkConfig:
         return out
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Freeze a cached array: every reader of the channel shares it."""
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ChannelState:
-    """Linear channel power gains and noise powers, both (M, K, N)."""
+    """Linear channel power gains and noise powers, both (M, K, N), plus the
+    decode order they fix.  The order is cached on first use, so gamma must
+    not be modified after construction."""
 
     gamma: np.ndarray
     sigma: np.ndarray
@@ -199,6 +211,28 @@ class ChannelState:
             raise ConfigError("channel power gains must be non-negative")
         if np.any(self.sigma <= 0):
             raise ConfigError("noise powers must be strictly positive")
+
+    @cached_property
+    def stronger(self) -> np.ndarray:
+        """Boolean (M, K, K, N): entry [m, i, k, n] is True when user i's
+        signal interferes with user k on (m, n), i.e. i has the strictly
+        stronger channel (ties resolved toward the lower user index)."""
+        gi = self.gamma[:, :, None, :]  # i axis
+        gk = self.gamma[:, None, :, :]  # k axis
+        idx = np.arange(self.gamma.shape[1])
+        earlier = (idx[:, None] < idx[None, :])[None, :, :, None]
+        return _read_only((gi > gk) | ((gi == gk) & earlier))
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every unordered user pair oriented by the decode order on each
+        (m, n): (strong_idx, weak_idx), both (M, P, N) with P = K*(K-1)/2.
+        Row p of strong_idx holds the pair member whose signal the other
+        cannot cancel."""
+        a, b = np.triu_indices(self.gamma.shape[1], k=1)
+        a_strong = self.stronger[:, a, b, :]  # (M, P, N)
+        a, b = a[None, :, None], b[None, :, None]
+        return _read_only(np.where(a_strong, a, b)), _read_only(np.where(a_strong, b, a))
 
 
 @dataclass
@@ -228,43 +262,6 @@ def zeros_like_alloc(cfg: NetworkConfig) -> PowerAllocation:
     return PowerAllocation(p=np.zeros((cfg.n_rrh, cfg.n_users, cfg.n_subcarriers)))
 
 
-# ---------------------------------------------------------------------------
-# decode-order helpers
-# ---------------------------------------------------------------------------
-
-def stronger_mask(gamma: np.ndarray) -> np.ndarray:
-    """Boolean (M, K, K, N): entry [m, i, k, n] is True when user i's signal
-    interferes with user k on (m, n), i.e. i has the strictly stronger channel
-    (ties resolved toward the lower user index)."""
-    gi = gamma[:, :, None, :]  # i axis
-    gk = gamma[:, None, :, :]  # k axis
-    k_count = gamma.shape[1]
-    idx = np.arange(k_count)
-    earlier = (idx[:, None] < idx[None, :])[None, :, :, None]
-    return (gi > gk) | ((gi == gk) & earlier)
-
-
-def oriented_pairs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orient every unordered user pair by the decode order on each (m, n).
-
-    Returns (strong_idx, weak_idx), both (M, P, N) with P = K*(K-1)/2: row p
-    of strong_idx holds the pair member whose signal the other cannot cancel.
-    """
-    m_count, k_count, n_count = gamma.shape
-    pairs = [(i, j) for i in range(k_count) for j in range(i + 1, k_count)]
-    if not pairs:
-        empty = np.zeros((m_count, 0, n_count), dtype=np.int64)
-        return empty, empty.copy()
-    arr = np.array(pairs, dtype=np.int64)
-    strong = stronger_mask(gamma)
-    a_strong = strong[:, arr[:, 0], arr[:, 1], :]  # (M, P, N)
-    a = arr[:, 0][None, :, None]
-    b = arr[:, 1][None, :, None]
-    strong_idx = np.where(a_strong, a, b)
-    weak_idx = np.where(a_strong, b, a)
-    return strong_idx, weak_idx
-
-
 def cross_interference(p: np.ndarray, ch: ChannelState) -> np.ndarray:
     """(M, K, N): total power received at user k (channel of RRH m) from all
     users of every other RRH on the same subcarrier."""
@@ -274,26 +271,21 @@ def cross_interference(p: np.ndarray, ch: ChannelState) -> np.ndarray:
     return full[None, :, :] - totals[:, None, :] * ch.gamma
 
 
-def interference(p: np.ndarray, ch: ChannelState,
-                 stronger: np.ndarray | None = None) -> np.ndarray:
+def interference(p: np.ndarray, ch: ChannelState) -> np.ndarray:
     """(M, K, N) interference floor: same-RRH stronger users received through
     the victim's own channel, plus everything from other RRHs."""
-    if stronger is None:
-        stronger = stronger_mask(ch.gamma)
-    same_power = np.einsum("mikn,min->mkn", stronger, p)
+    same_power = np.einsum("mikn,min->mkn", ch.stronger, p)
     return ch.gamma * same_power + cross_interference(p, ch)
 
 
-def sinr_array(p: np.ndarray, ch: ChannelState,
-               stronger: np.ndarray | None = None) -> np.ndarray:
+def sinr_array(p: np.ndarray, ch: ChannelState) -> np.ndarray:
     """(M, K, N) post-cancellation SINR."""
-    return p * ch.gamma / (ch.sigma + interference(p, ch, stronger))
+    return p * ch.gamma / (ch.sigma + interference(p, ch))
 
 
-def rate_array(p: np.ndarray, ch: ChannelState,
-               stronger: np.ndarray | None = None) -> np.ndarray:
+def rate_array(p: np.ndarray, ch: ChannelState) -> np.ndarray:
     """(M, K, N) Shannon rates log2(1 + SINR), bits/s/Hz."""
-    return np.log2(1.0 + sinr_array(p, ch, stronger))
+    return np.log2(1.0 + sinr_array(p, ch))
 
 
 def _check_index(name: str, value: int, bound: int) -> None:
@@ -357,8 +349,7 @@ def sic_margin(alloc: PowerAllocation, ch: ChannelState,
     _check_index("n", n, nn)
     if k == k_prime:
         raise ValueError("k and k_prime must differ")
-    strong = stronger_mask(ch.gamma)
-    if not strong[m, k, k_prime, n]:
+    if not ch.stronger[m, k, k_prime, n]:
         raise ValueError(
             f"decode-order precondition violated: user {k} is not stronger "
             f"than user {k_prime} on (m={m}, n={n})"
@@ -412,6 +403,12 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
     C13  streaming users meet their minimum rates
     C14  active NOMA pairs keep a valid cancellation order
 
+    C10 compares the product of each user's two largest per-head peaks with
+    rho1 and reports it as (k, a, n_a, b, n_b), a < b, n_x the peak's
+    subcarrier on head x.  C14 runs over the user pairs oriented by the
+    channel's decode order (``ch.pairs``).  Apart from that cached order,
+    neither builds an array larger than (M, K*(K-1)/2, N).
+
     streaming_min_rates defaults to the delay-induced thresholds from the
     config's traffic specs.
     """
@@ -427,23 +424,21 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
         for m, k, n in zip(*np.nonzero(p < 0)):
             out.append(Violation("C4", (int(m), int(k), int(n)), float(-p[m, k, n])))
 
-    # C10: one user must not carry real power on two RRHs
+    # C10: one user must not carry real power on two RRHs.  The largest
+    # cross-head product of a user is the product of its two largest
+    # per-head peaks.
     m_count, k_count, n_count = p.shape
     if m_count > 1:
-        flat = np.transpose(p, (1, 0, 2)).reshape(k_count, m_count * n_count)
-        prod = flat[:, :, None] * flat[:, None, :]  # (K, M*N, M*N)
-        same_rrh = np.repeat(np.arange(m_count), n_count)
-        cross_pairs = same_rrh[:, None] != same_rrh[None, :]
-        viol = (prod > cfg.rho1) & cross_pairs
-        for k in range(k_count):
-            if not viol[k].any():
-                continue
-            i, j = np.unravel_index(np.argmax(np.where(viol[k], prod[k], -np.inf)),
-                                    prod[k].shape)
+        peaks = p.max(axis=2)  # (M, K)
+        top2 = np.sort(peaks, axis=0)[-2:]
+        for k in np.nonzero(top2[0] * top2[1] > cfg.rho1)[0]:
+            prod = peaks[:, k, None] * peaks[None, :, k]
+            np.fill_diagonal(prod, -np.inf)
+            a, b = np.unravel_index(np.argmax(prod), prod.shape)  # a < b
             out.append(Violation(
                 "C10",
-                (int(k), int(same_rrh[i]), int(i % n_count), int(same_rrh[j]), int(j % n_count)),
-                float(prod[k, i, j] - cfg.rho1),
+                (int(k), int(a), int(np.argmax(p[a, k])), int(b), int(np.argmax(p[b, k]))),
+                float(prod[a, b] - cfg.rho1),
             ))
 
     # C11: at most l_max users with real power per (m, n); equivalently the
@@ -473,23 +468,25 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
 
     # C14: cancellation order on active pairs, normalized by the term scale so
     # the band is dimensionless.
-    strong = stronger_mask(ch.gamma)
+    strong_idx, weak_idx = ch.pairs
     cross = cross_interference(p, ch)
-    g_i = ch.gamma[:, :, None, :]
-    g_j = ch.gamma[:, None, :, :]
-    s_i = ch.sigma[:, :, None, :]
-    s_j = ch.sigma[:, None, :, :]
-    c_i = cross[:, :, None, :]
-    c_j = cross[:, None, :, :]
-    omega = g_j * s_i - g_i * s_j + g_j * c_i - g_i * c_j   # [m, i=strong, j=weak, n]
-    scale = g_j * s_i + g_i * s_j + g_j * c_i + g_i * c_j
-    pair_power = p[:, :, None, :] * p[:, None, :, :]
+
+    def at(x, idx):
+        return np.take_along_axis(x, idx, axis=1)  # (M, P, N)
+
+    g_s, g_w = at(ch.gamma, strong_idx), at(ch.gamma, weak_idx)
+    s_s, s_w = at(ch.sigma, strong_idx), at(ch.sigma, weak_idx)
+    c_s, c_w = at(cross, strong_idx), at(cross, weak_idx)
+    omega = g_w * s_s - g_s * s_w + g_w * c_s - g_s * c_w
+    scale = g_w * s_s + g_s * s_w + g_w * c_s + g_s * c_w
+    pair_power = at(p, strong_idx) * at(p, weak_idx)
     lhs = pair_power * omega
     band = tol.c14_rel_tol * pair_power * scale
-    viol14 = strong & (lhs > band) & (pair_power > 0)
-    for m, i, j, n in zip(*np.nonzero(viol14)):
-        out.append(Violation("C14", (int(m), int(i), int(j), int(n)),
-                             float(lhs[m, i, j, n])))
+    hit = np.nonzero((lhs > band) & (pair_power > 0))
+    rows = np.stack([hit[0], strong_idx[hit], weak_idx[hit], hit[2]], axis=1)
+    order = np.lexsort(rows.T[::-1])  # (m, strong, weak, n) order
+    for index, magnitude in zip(rows[order].tolist(), lhs[hit][order].tolist()):
+        out.append(Violation("C14", tuple(index), magnitude))
 
     return FeasibilityReport(out)
 

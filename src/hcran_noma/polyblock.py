@@ -30,7 +30,7 @@ import numpy as np
 
 from . import model
 from .model import (ChannelState, NetworkConfig, PowerAllocation,
-                    cross_interference, oriented_pairs, stronger_mask)
+                    cross_interference)
 
 
 @dataclass
@@ -182,13 +182,12 @@ class NomaCanonical:
         m_count, k_count, n_count = ch.gamma.shape
         self.shape = (m_count, k_count, n_count)
         self.n_p = m_count * k_count * n_count
-        self.stronger = stronger_mask(ch.gamma)
         self.elastic = cfg.elastic_mask()
         self.streaming = cfg.streaming_users()
         self.min_rates = cfg.min_rates()
         self.ell = cfg.l_max + 1
 
-        strong_idx, weak_idx = oriented_pairs(ch.gamma)
+        strong_idx, weak_idx = ch.pairs
         cm = cross_interference(cfg.p_mask, ch)
         g_s = np.take_along_axis(ch.gamma, strong_idx, axis=1)
         g_w = np.take_along_axis(ch.gamma, weak_idx, axis=1)
@@ -237,7 +236,7 @@ class NomaCanonical:
 
     # -- increasing building blocks -------------------------------------------
     def _floors(self, p: np.ndarray) -> np.ndarray:
-        same = np.einsum("mikn,min->mkn", self.stronger, p)
+        same = np.einsum("mikn,min->mkn", self.ch.stronger, p)
         return self.ch.sigma + self.ch.gamma * same + cross_interference(p, self.ch)
 
     # Every log term is normalized by its entry's noise power.  This shifts

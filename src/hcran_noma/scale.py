@@ -50,13 +50,12 @@ import numpy as np
 
 from . import model
 from .model import (LN2, ChannelState, NetworkConfig, PowerAllocation,
-                    cross_interference, oriented_pairs, stronger_mask)
+                    cross_interference)
 
 _Z_FLOOR = 1e-300
 
-# subgradient gains of the budget, rate and cancellation-order multipliers: a
+# subgradient gains of the rate and cancellation-order multipliers: a
 # full-scale violation moves a multiplier by this fraction of its useful size
-_BUDGET_GAIN = 0.6
 _RATE_GAIN = 0.8
 _SIC_GAIN = 0.6
 # sweeps a round runs before its convergence test may stop it
@@ -101,11 +100,10 @@ def high_sir_coeffs(shape: tuple[int, ...]) -> ScaleCoefficients:
     return ScaleCoefficients(alpha=np.ones(shape), beta=np.zeros(shape))
 
 
-def coeffs_at(p: np.ndarray, ch: ChannelState,
-              stronger: np.ndarray | None = None) -> ScaleCoefficients:
+def coeffs_at(p: np.ndarray, ch: ChannelState) -> ScaleCoefficients:
     """Re-tighten the bound at the SINRs produced by allocation p.  Entries
     with non-positive SINR fall back to the high-SIR pair."""
-    z = model.sinr_array(p, ch, stronger)
+    z = model.sinr_array(p, ch)
     ok = z > 0
     alpha, beta = scale_coeffs(np.where(ok, z, 1.0))
     return ScaleCoefficients(alpha=np.where(ok, alpha, 1.0),
@@ -122,10 +120,10 @@ def approx_rate(alloc: PowerAllocation, ch: ChannelState, coeffs: ScaleCoefficie
     return float(coeffs.beta[m, k, n] + coeffs.alpha[m, k, n] * np.log2(z))
 
 
-def approx_rate_array(p: np.ndarray, ch: ChannelState, coeffs: ScaleCoefficients,
-                      stronger: np.ndarray | None = None) -> np.ndarray:
+def approx_rate_array(p: np.ndarray, ch: ChannelState,
+                      coeffs: ScaleCoefficients) -> np.ndarray:
     """(M, K, N) surrogate rates; -inf where the SINR is zero."""
-    z = model.sinr_array(p, ch, stronger)
+    z = model.sinr_array(p, ch)
     with np.errstate(divide="ignore"):
         logz = np.log2(np.maximum(z, _Z_FLOOR))
     return np.where(z > 0, coeffs.beta + coeffs.alpha * logz, -np.inf)
@@ -182,7 +180,8 @@ def dc_linearize(alloc_prev: PowerAllocation, ch: ChannelState,
 class DualState:
     """Non-negative multipliers of the relaxed constraint families.
 
-    xi      (M,)            per-RRH power budgets
+    xi      (M,)            per-RRH power budgets, solved to complementary
+                            slackness by bisection in every sweep
     zeta    (K,)            streaming minimum rates (zero rows for elastic)
     zeta_t  (M, P, N)       cancellation-order constraints, one per oriented
                             channel pair on each (m, n)
@@ -200,13 +199,11 @@ class DualState:
 @dataclass(frozen=True)
 class StepRule:
     """Diminishing subgradient schedule step_v = gain/sqrt(v), one pre-scaled
-    gain per multiplier family: a full-scale violation moves the multiplier by
-    an O(gain) fraction of its useful magnitude."""
+    gain per subgradient multiplier family: a full-scale violation moves the
+    multiplier by an O(gain) fraction of its useful magnitude."""
 
-    xi_step: np.ndarray      # (M,)
     zeta_step: np.ndarray    # (K,)
     sic_step: np.ndarray     # (M, P, N)
-    xi_cap: float
     zeta_cap: float
     sic_cap: float
 
@@ -217,9 +214,8 @@ class StepRule:
 
 @dataclass
 class ConstraintSlacks:
-    """Signed residuals (positive = violated) of every relaxed family."""
+    """Signed residuals (positive = violated) of the subgradient families."""
 
-    budget: np.ndarray          # (M,)
     rate: np.ndarray            # (K,) target minus surrogate rate, streaming rows
     sic: np.ndarray             # (M, P, N) linearized margin residual
 
@@ -228,13 +224,13 @@ def dual_update(duals: DualState, slacks: ConstraintSlacks, step: StepRule,
                 v: int = 1) -> DualState:
     """One projected subgradient step: mu <- max(0, mu + step_v * residual),
     capped per family so a persistently infeasible constraint is detected
-    instead of overflowing."""
+    instead of overflowing.  The budget multipliers xi pass through: the
+    sweep solves them exactly."""
     damp = step.at(v)
-    xi = np.clip(duals.xi + damp * step.xi_step * slacks.budget, 0.0, step.xi_cap)
     zeta = np.clip(duals.zeta + damp * step.zeta_step * slacks.rate, 0.0, step.zeta_cap)
     zeta_t = np.clip(duals.zeta_t + damp * step.sic_step * slacks.sic,
                      0.0, step.sic_cap)
-    return DualState(xi=xi, zeta=zeta, zeta_t=zeta_t)
+    return DualState(xi=duals.xi, zeta=zeta, zeta_t=zeta_t)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficie
     vectorized sweep must reproduce these numbers."""
     p, p_lin = state.p, state.p_lin
     m_count, k_count, _ = p.shape
-    strong = stronger_mask(ch.gamma)
+    strong = ch.stronger
     zeta_of = np.where(cfg.elastic_mask(), 1.0, duals.zeta)
     cross = cross_interference(p, ch)
     floor = ch.sigma + ch.gamma * np.einsum("mikn,min->mkn", strong, p) + cross
@@ -282,7 +278,7 @@ def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficie
     # (power-proportional) derivative of the kept convex part.
     num_sic = 0.0
     den_sic = 0.0
-    strong_idx, weak_idx = oriented_pairs(ch.gamma)
+    strong_idx, weak_idx = ch.pairs
     cross_lin = cross_interference(p_lin, ch)
     for mm in range(m_count):
         for q in range(strong_idx.shape[1]):
@@ -503,7 +499,7 @@ class ScaleSolver:
         round_objs: list[float] = []
 
         for s in range(tol.s_max):
-            coeffs = coeffs_at(p, ch, ctx.stronger)
+            coeffs = coeffs_at(p, ch)
             lin = ctx.linearize(p)
             p_round = p
             for v in range(1, tol.v_max + 1):
@@ -554,7 +550,6 @@ class _SolveContext:
         self.e = e
         m_count, k_count, n_count = ch.gamma.shape
         self.shape = (m_count, k_count, n_count)
-        self.stronger = stronger_mask(ch.gamma)
         self.elastic = cfg.elastic_mask()
         self.streaming = cfg.streaming_users()
         self.min_rates = cfg.min_rates()
@@ -563,7 +558,7 @@ class _SolveContext:
         self.p_floor = 1e-30 * cfg.max_mask
         self.weights = cfg.weights
 
-        self.strong_idx, self.weak_idx = oriented_pairs(ch.gamma)
+        self.strong_idx, self.weak_idx = ch.pairs
         self.n_pairs = self.strong_idx.shape[1]
         base = np.broadcast_to(np.arange(m_count)[:, None, None], self.strong_idx.shape)
         subc = np.broadcast_to(np.arange(n_count)[None, None, :], self.strong_idx.shape)
@@ -592,11 +587,9 @@ class _SolveContext:
         den_scale = max(e * float(cfg.eta.max()), 1.0 / (LN2 * p_ref))
         cap = cfg.tolerances.dual_cap
         self.step_rule = StepRule(
-            xi_step=_BUDGET_GAIN * den_scale / cfg.p_max,
             zeta_step=np.full(k_count, _RATE_GAIN / self.rate_scale),
             sic_step=(_SIC_GAIN * den_scale
                       / (p_ref * self.sic_scale**2 * self.mask_s * self.mask_w + 1e-300)),
-            xi_cap=cap * den_scale,
             zeta_cap=cap,
             sic_cap=cap * den_scale / p_ref,
         )
@@ -629,7 +622,7 @@ class _SolveContext:
         gamma = ch.gamma
 
         cross = cross_interference(p, ch)
-        same = np.einsum("mikn,min->mkn", self.stronger, p)
+        same = np.einsum("mikn,min->mkn", ch.stronger, p)
         floor = ch.sigma + gamma * same + cross
         inv_floor = 1.0 / floor
         z = p * gamma * inv_floor
@@ -639,7 +632,7 @@ class _SolveContext:
         c_rate = (self.weights * zeta_of[None, :])[:, :, None] * coeffs.alpha
 
         t_same = c_rate * gamma * inv_floor / LN2
-        psi_same = np.einsum("mkln,mln->mkn", self.stronger, t_same)
+        psi_same = np.einsum("mkln,mln->mkn", ch.stronger, t_same)
         u = c_rate * inv_floor / LN2
         u_tot = u.sum(axis=0)
         psi_cross = (np.einsum("mln,ln->mn", gamma, u_tot)
@@ -713,7 +706,7 @@ class _SolveContext:
             (float(np.max(sic_slack / (self.sic_scale * self.mask_s * self.mask_w)))
              if self.n_pairs else -np.inf),
         )
-        slacks = ConstraintSlacks(budget=budget, rate=rate, sic=sic_slack)
+        slacks = ConstraintSlacks(rate=rate, sic=sic_slack)
         return _Snapshot(num=num, den=den, slacks=slacks, objective=objective,
                          max_violation=max_violation, floor_hits=floor_hits)
 
@@ -727,13 +720,13 @@ class _SolveContext:
         return self.cfg.static_power() + float(np.dot(self.cfg.eta, dyn))
 
     def surrogate_objective(self, p: np.ndarray, coeffs: ScaleCoefficients) -> float:
-        r_hat = approx_rate_array(p, self.ch, coeffs, self.stronger)
+        r_hat = approx_rate_array(p, self.ch, coeffs)
         r_hat = np.where(np.isfinite(r_hat), r_hat, 0.0)
         rate = float(np.sum(r_hat[:, self.elastic, :] * self.weights[:, self.elastic, None]))
         return rate - self.e * self.power_of(p)
 
     def true_objective(self, p: np.ndarray) -> float:
-        rates = model.rate_array(p, self.ch, self.stronger)
+        rates = model.rate_array(p, self.ch)
         rate = float(np.sum(rates[:, self.elastic, :] * self.weights[:, self.elastic, None]))
         return rate - self.e * self.power_of(p)
 
@@ -743,7 +736,7 @@ class _SolveContext:
         short signals an unsatisfiable traffic load."""
         if not self.streaming:
             return False
-        r_hat = approx_rate_array(p, self.ch, coeffs, self.stronger)
+        r_hat = approx_rate_array(p, self.ch, coeffs)
         r_hat = np.where(np.isfinite(r_hat), r_hat, 0.0)
         r_user = np.einsum("mk,mkn->k", self.weights, r_hat)
         at_cap = duals.zeta >= self.step_rule.zeta_cap * (1 - 1e-9)

@@ -352,11 +352,10 @@ def grid_oracle(inst: TinyInstance, levels: int = 20) -> float:
         ok &= np.all(top.prod(axis=2) <= cfg.rho2, axis=(1, 2))
 
     gamma, sigma = ch.gamma, ch.sigma
-    stronger = model.stronger_mask(gamma)
     totals = p.sum(axis=2)                                    # (G, M, N)
     full = np.einsum("gjn,jkn->gkn", totals, gamma)
     cross = full[:, None, :, :] - totals[:, :, None, :] * gamma[None]
-    same = np.einsum("mikn,gmin->gmkn", stronger, p)
+    same = np.einsum("mikn,gmin->gmkn", ch.stronger, p)
     floors = sigma[None] + gamma[None] * same + cross
     rates = np.log2(1.0 + p * gamma[None] / floors)
 
@@ -367,7 +366,7 @@ def grid_oracle(inst: TinyInstance, levels: int = 20) -> float:
         ok &= np.all(per_user[:, streaming] >= min_rates[None, streaming]
                      - cfg.tolerances.c13_rate_tol, axis=1)
 
-    strong_idx, weak_idx = model.oriented_pairs(gamma)
+    strong_idx, weak_idx = ch.pairs
     if strong_idx.shape[1]:
         mm = np.arange(cfg.n_rrh)[:, None, None]
         nn = np.arange(cfg.n_subcarriers)[None, None, :]

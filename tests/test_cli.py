@@ -77,6 +77,35 @@ class TestCommands:
         assert "iteration,e,surplus" in text
         assert (tmp_path / "solve.csv.plot.py").exists()
 
+    def test_solve_oma_keeps_config(self, tmp_path, monkeypatch):
+        # --oma only drops to one user per subcarrier; every other YAML key
+        # must reach the solved network unchanged
+        path = tmp_path / "oma.yaml"
+        path.write_text("users: 4\nstreaming_users: 1\nn_subcarriers: 4\n"
+                        "m_f: 4\nmask_dbm: 10\nnoise_dbm_hz: -170\n"
+                        "queue_packets: 30\npacket_bits: 512\n")
+        loaded, _ = cli.load_config(path)
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def gen_channel(cfg, rng):
+            seen.append(cfg)
+            raise Stop
+
+        monkeypatch.setattr(cli, "gen_channel", gen_channel)
+        with pytest.raises(Stop):
+            cli.main(["solve", "--config", str(path), "--oma"])
+        cfg = seen[0]
+        assert cfg.n_rrh == loaded.n_rrh == 5
+        assert cfg.l_max == 1 and loaded.l_max == 3
+        assert np.array_equal(cfg.p_mask, loaded.p_mask)
+        assert cfg.noise_density == loaded.noise_density
+        assert cfg.users == loaded.users
+        assert cfg.users[0].traffic.q_len == 30.0
+        assert cfg.users[0].traffic.packet_bits == 512.0
+
     def test_sweep_reproducible_bytes(self, tmp_path):
         cfgp = _write_small_config(tmp_path)
         outs = []

@@ -123,7 +123,7 @@ class TestSolve:
         totals = p.sum(axis=2)
         full = np.einsum("gjn,jkn->gkn", totals, ch.gamma)
         cross = full[:, None] - totals[:, :, None, :] * ch.gamma[None]
-        same = np.einsum("mikn,gmin->gmkn", model.stronger_mask(ch.gamma), p)
+        same = np.einsum("mikn,gmin->gmkn", ch.stronger, p)
         floors = ch.sigma[None] + ch.gamma[None] * same + cross
         rates = np.log2(1 + p * ch.gamma[None] / floors)
         r = rates.sum(axis=(1, 2, 3))

@@ -1,11 +1,16 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hcran_noma import model
+from hcran_noma import dinkelbach, model
 from hcran_noma.model import (ChannelState, ConfigError, PowerAllocation,
                               check_feasibility, derive_binaries,
                               energy_efficiency, sic_margin, sinr,
                               total_power, user_rate, weighted_sum_rate)
+from hcran_noma.scale import ScaleSolver
 
 from conftest import make_config, make_channel
 
@@ -156,6 +161,45 @@ class TestEnergyEfficiency:
         assert rep.ee * rep.total_power == pytest.approx(rep.sum_rate, rel=1e-12)
 
 
+class TestDecodeOrder:
+    def test_built_once_per_channel(self, monkeypatch):
+        # the decode order depends on the gains alone: one solve plus the
+        # feasibility check must build the mask and the oriented pairs once
+        builds = []
+        for name in ("stronger", "pairs"):
+            build = ChannelState.__dict__[name].func
+
+            def counted(ch, build=build, name=name):
+                builds.append((name, id(ch)))
+                return build(ch)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(ChannelState, name)
+            monkeypatch.setattr(ChannelState, name, prop)
+        cfg = make_config(m=2, k=4, n=4, streaming=(0,))
+        ch = make_channel(cfg, seed=3)
+        trace = dinkelbach.solve(ch, cfg, ScaleSolver())
+        check_feasibility(trace.final_allocation, ch, cfg)
+        assert sorted(builds) == [("pairs", id(ch)), ("stronger", id(ch))]
+
+    def test_pairs_follow_the_mask(self):
+        cfg = make_config(m=2, k=4, n=3)
+        # all gains tied (the lower index decodes first), then random gains
+        for ch in (uniform_channel(cfg, 1.0), make_channel(cfg, seed=5)):
+            strong_idx, weak_idx = ch.pairs
+            assert strong_idx.shape == (2, 6, 3)
+            for m, q, n in itertools.product(range(2), range(6), range(3)):
+                assert ch.stronger[m, strong_idx[m, q, n], weak_idx[m, q, n], n]
+            pairs = {(min(a, b), max(a, b)) for a, b in zip(strong_idx[0, :, 0],
+                                                            weak_idx[0, :, 0])}
+            assert pairs == set(itertools.combinations(range(4), 2))
+
+    def test_single_user_has_no_pairs(self):
+        ch = uniform_channel(make_config(m=2, k=1, n=3), 1.0)
+        strong_idx, weak_idx = ch.pairs
+        assert strong_idx.shape == weak_idx.shape == (2, 0, 3)
+
+
 class TestSicMargin:
     def test_symmetric_zero(self):
         cfg = make_config(m=2, k=2, n=1)
@@ -196,7 +240,7 @@ class TestSicMargin:
             p = rng.uniform(0, 1.0, ch.gamma.shape)
             alloc = PowerAllocation(p=p)
             cross = model.cross_interference(p, ch)
-            strong = model.stronger_mask(ch.gamma)
+            strong = ch.stronger
             for m in range(2):
                 a, b = (0, 1) if strong[m, 0, 1, 0] else (1, 0)
                 omega = sic_margin(alloc, ch, m, a, b, 0)
@@ -240,6 +284,62 @@ class TestFeasibility:
         alloc.p[...] = small_cfg.p_mask  # sums to K * p_max per head
         report = check_feasibility(alloc, small_channel, small_cfg)
         assert report.by_constraint("C12")
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 3), k=st.integers(1, 4), n=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_c10_c14_match_scalar_loops(self, m, k, n, seed, ties):
+        cfg = make_config(m=m, k=k, n=n)
+        rng = np.random.default_rng(seed)
+        shape = (m, k, n)
+        if ties:  # equal gains and equal per-head power peaks
+            gamma = rng.choice([1e-8, 1e-7, 1e-6], size=shape)
+            p = cfg.p_mask * rng.choice([0.0, 0.5, 1.0], size=shape)
+        else:
+            gamma = rng.exponential(1e-7, shape) * 10 ** rng.uniform(-2, 2, shape)
+            p = (cfg.p_mask * 10 ** rng.uniform(-4, 0, shape)
+                 * (rng.uniform(size=shape) < 0.7))
+        sigma = np.full(shape, cfg.noise_density * cfg.subcarrier_bandwidth)
+        ch = ChannelState(gamma=gamma, sigma=sigma)
+        alloc = PowerAllocation(p=p)
+        report = check_feasibility(alloc, ch, cfg)
+
+        # C14: every powered pair (i decodes j) whose scalar margin breaks the band
+        band_tol = cfg.tolerances.c14_rel_tol
+        cross = model.cross_interference(p, ch)
+        expected = {}
+        for mm, i, j, nn in itertools.product(range(m), range(k), range(k), range(n)):
+            g_i, g_j = gamma[mm, i, nn], gamma[mm, j, nn]
+            decodes = g_i > g_j or (g_i == g_j and i < j)
+            if i == j or not decodes or p[mm, i, nn] <= 0 or p[mm, j, nn] <= 0:
+                continue
+            omega = sic_margin(alloc, ch, mm, i, j, nn)
+            scale = (g_j * sigma[mm, i, nn] + g_i * sigma[mm, j, nn]
+                     + g_j * cross[mm, i, nn] + g_i * cross[mm, j, nn])
+            pp = p[mm, i, nn] * p[mm, j, nn]
+            if pp * omega > band_tol * pp * scale:
+                expected[(mm, i, j, nn)] = pp * omega
+        got = {v.index: v.magnitude for v in report.by_constraint("C14")}
+        assert got.keys() == expected.keys()
+        for idx, lhs in expected.items():
+            assert got[idx] == pytest.approx(lhs, rel=1e-12)
+
+        # C10: every user with a cross-head power product above rho1
+        best = {}
+        for kk, a, b, n1, n2 in itertools.product(range(k), range(m), range(m),
+                                                  range(n), range(n)):
+            if a < b:
+                prod = p[a, kk, n1] * p[b, kk, n2]
+                best[kk] = max(best.get(kk, -np.inf), prod)
+        flagged = {kk for kk, prod in best.items() if prod > cfg.rho1}
+        c10 = report.by_constraint("C10")
+        assert {v.index[0] for v in c10} == flagged and len(c10) == len(flagged)
+        for v in c10:
+            kk, a, n1, b, n2 = v.index
+            assert a < b
+            assert p[a, kk, n1] * p[b, kk, n2] == best[kk]
+            assert v.magnitude == best[kk] - cfg.rho1
 
 
 class TestDeriveBinaries:

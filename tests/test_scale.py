@@ -230,43 +230,40 @@ class TestDualUpdate:
         duals = ctx.fresh_duals()  # all zero except unit rate rows
         duals.zeta[:] = 0.0
         slacks = scale.ConstraintSlacks(
-            budget=-np.ones(cfg.n_rrh),
             rate=-np.ones(cfg.n_users),
             sic=np.full(duals.zeta_t.shape, -1.0))
         out = dual_update(duals, slacks, ctx.step_rule, v=1)
         assert out.xi.max() == 0 and out.zeta.max() == 0
         assert out.zeta_t.max() == 0
 
-    def test_budget_violation_step(self):
+    def test_rate_violation_step(self):
         cfg, ch, ctx, duals, p, p_lin = _mid_solve_state(seed=21)
         duals = ctx.fresh_duals()
+        duals.zeta[:] = 0.0
         delta = 0.37
         slacks = scale.ConstraintSlacks(
-            budget=np.array([delta] + [0.0] * (cfg.n_rrh - 1)),
-            rate=np.zeros(cfg.n_users),
+            rate=np.array([delta] + [0.0] * (cfg.n_users - 1)),
             sic=np.zeros(duals.zeta_t.shape))
         out = dual_update(duals, slacks, ctx.step_rule, v=4)
-        expected = ctx.step_rule.xi_step[0] * delta / np.sqrt(4)
-        assert out.xi[0] == pytest.approx(expected, rel=1e-12)
-        assert out.xi[1:].max() == 0
+        expected = ctx.step_rule.zeta_step[0] * delta / np.sqrt(4)
+        assert out.zeta[0] == pytest.approx(expected, rel=1e-12)
+        assert out.zeta[1:].max() == 0
 
     def test_persistent_violation_hits_cap(self):
         cfg, ch, ctx, duals, p, p_lin = _mid_solve_state(seed=22)
         duals = ctx.fresh_duals()
         slacks = scale.ConstraintSlacks(
-            budget=np.full(cfg.n_rrh, 1e9),
-            rate=np.zeros(cfg.n_users),
+            rate=np.full(cfg.n_users, 1e9),
             sic=np.zeros(duals.zeta_t.shape))
         for v in range(1, 2000):
             duals = dual_update(duals, slacks, ctx.step_rule, v)
-        assert duals.xi[0] == pytest.approx(ctx.step_rule.xi_cap)
+        assert duals.zeta[0] == pytest.approx(ctx.step_rule.zeta_cap)
 
     def test_non_negative_after_updates(self):
         cfg, ch, ctx, duals, p, p_lin = _mid_solve_state(seed=23)
         rng = np.random.default_rng(24)
         for v in range(1, 30):
             slacks = scale.ConstraintSlacks(
-                budget=rng.normal(0, 1, cfg.n_rrh),
                 rate=rng.normal(0, 1, cfg.n_users),
                 sic=rng.normal(0, 1, duals.zeta_t.shape))
             duals = dual_update(duals, slacks, ctx.step_rule, v)
