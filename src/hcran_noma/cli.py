@@ -30,8 +30,8 @@ from . import dinkelbach, model, overhead
 from .model import ConfigError, NetworkConfig, Tolerances
 from .polyblock import PolyblockSolver
 from .scale import ScaleSolver
-from .scenarios import (ARCHITECTURES, Scenario, build_config, gen_channel,
-                        run_sweep, tiny_instance)
+from .scenarios import (ARCHITECTURES, Scenario, _config_for, build_config,
+                        gen_channel, run_sweep, tiny_instance)
 
 _NETWORK_KEYS = {
     "architecture", "m_f", "n_subcarriers", "bandwidth_hz", "noise_dbm_hz",
@@ -64,7 +64,6 @@ def load_config(path: str | Path | None) -> tuple[NetworkConfig, Scenario]:
     for key in tol_raw:
         if key not in _TOLERANCE_KEYS:
             raise ConfigError(f"unknown tolerances key {key!r}")
-    tolerances = Tolerances(**tol_raw)
 
     l_max = 1 if raw.get("oma") else int(raw.get("l_max", 3))
     scenario = Scenario(
@@ -77,27 +76,20 @@ def load_config(path: str | Path | None) -> tuple[NetworkConfig, Scenario]:
         l_max=l_max,
         n_subcarriers=int(raw.get("n_subcarriers", 32)),
         bandwidth_hz=float(raw.get("bandwidth_hz", 1.0e6)),
+        m_f=raw.get("m_f"),
+        mask_dbm=raw.get("mask_dbm"),
+        noise_dbm_hz=float(raw.get("noise_dbm_hz", -174.0)),
+        queue_packets=float(raw.get("queue_packets", 25.0)),
+        packet_bits=float(raw.get("packet_bits", 1024.0)),
+        tolerances=Tolerances(**tol_raw),
         draws=int(raw.get("draws", 50)),
         seed=int(raw.get("seed", 1)),
         solver=raw.get("solver", "scale"),
         workers=int(raw.get("workers", 1)),
     )
-    cfg = build_config(
-        architecture=scenario.architecture,
-        k_total=scenario.k_total,
-        k_streaming=scenario.k_streaming,
-        rng=np.random.default_rng([scenario.seed, 0]),
-        arrival_rate=scenario.arrival_rate,
-        queue_packets=float(raw.get("queue_packets", 25.0)),
-        packet_bits=float(raw.get("packet_bits", 1024.0)),
-        l_max=scenario.l_max,
-        n_subcarriers=scenario.n_subcarriers,
-        bandwidth_hz=scenario.bandwidth_hz,
-        m_f=raw.get("m_f"),
-        noise_dbm_hz=float(raw.get("noise_dbm_hz", -174.0)),
-        tolerances=tolerances,
-        mask_dbm=raw.get("mask_dbm"),
-    )
+    # solve's network is the sweep's draw-0 network without the sweep variable
+    cfg = _config_for(replace(scenario, sweep="none"), None,
+                      np.random.default_rng([scenario.seed, 0]))
     return cfg, scenario
 
 

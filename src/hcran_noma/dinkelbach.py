@@ -45,7 +45,6 @@ class DinkelbachTrace:
     iterations: list[DinkelbachIteration] = field(default_factory=list)
     final_e: float = 0.0
     final_allocation: PowerAllocation | None = None
-    cap_hit: bool = False
     status: str = "converged"  # "converged" | "cap" | "stalled"
 
     @property
@@ -62,8 +61,7 @@ def surplus(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig,
             - e * model.total_power(alloc, cfg))
 
 
-def solve(ch: ChannelState, cfg: NetworkConfig, inner: InnerSolver,
-          e0: float = 0.0) -> DinkelbachTrace:
+def solve(ch: ChannelState, cfg: NetworkConfig, inner: InnerSolver) -> DinkelbachTrace:
     """Run the parametric iteration e_{i+1} = R(p_i)/P(p_i) until the surplus
     drops below the configured tolerance.
 
@@ -73,7 +71,7 @@ def solve(ch: ChannelState, cfg: NetworkConfig, inner: InnerSolver,
     """
     tol = cfg.tolerances
     trace = DinkelbachTrace()
-    e = e0
+    e = 0.0
     warm: PowerAllocation | None = None
 
     for i in range(tol.outer_max):
@@ -102,7 +100,6 @@ def solve(ch: ChannelState, cfg: NetworkConfig, inner: InnerSolver,
             break
         e = report.ee
     else:
-        trace.cap_hit = True
         trace.status = "cap"
 
     if warm is None:

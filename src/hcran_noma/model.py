@@ -16,7 +16,8 @@ and by every user of every other RRH.  Channel ties are broken by user index
 (lower index counts as stronger) so the decode order is a strict total order.
 The order depends on the channel gains alone, so ``ChannelState`` holds it:
 ``ch.stronger`` is the dense (M, K, K, N) mask and ``ch.pairs`` the user
-pairs oriented by it, each built once per channel on first use.
+pairs oriented by it, each built once per channel on first use, with the
+pairs' gathers and constants; ``pair_margins`` is their one vectorised margin.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ LN2 = float(np.log(2.0))
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(w: float) -> float:
-    return 10.0 * np.log10(w) + 30.0
 
 
 class ConfigError(ValueError):
@@ -83,6 +80,15 @@ class Tolerances:
     c14_rel_tol: float = 1e-9   # relative band on the SIC margin products
     box_rel_tol: float = 1e-9   # relative band on mask/budget checks
 
+    def __post_init__(self) -> None:
+        for name in ("s_max", "v_max", "outer_max"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        for name in ("xi", "varpi1_rel", "varpi2_rel", "dual_cap", "c13_rate_tol",
+                     "c14_rel_tol", "box_rel_tol"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # also rejects NaN
+                raise ConfigError(f"{name} must be finite and non-negative")
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -127,6 +133,8 @@ class NetworkConfig:
         ):
             if arr.shape != shape:
                 raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{name} must be finite")
         if np.any(self.p_max <= 0) or np.any(self.p_mask <= 0) or np.any(self.eta <= 0):
             raise ConfigError("powers and efficiencies must be strictly positive")
         if np.any(self.p_mask > self.p_max[:, None, None] * (1 + 1e-12)):
@@ -198,8 +206,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ChannelState:
     """Linear channel power gains and noise powers, both (M, K, N), plus the
-    decode order they fix.  The order is cached on first use, so gamma must
-    not be modified after construction."""
+    decode order they fix and the per-pair constants of that order.  All are
+    cached on first use, so gamma and sigma must not be modified after
+    construction."""
 
     gamma: np.ndarray
     sigma: np.ndarray
@@ -207,6 +216,8 @@ class ChannelState:
     def __post_init__(self) -> None:
         if self.gamma.shape != self.sigma.shape or self.gamma.ndim != 3:
             raise ConfigError("gamma and sigma must share an (M, K, N) shape")
+        if not (np.all(np.isfinite(self.gamma)) and np.all(np.isfinite(self.sigma))):
+            raise ConfigError("channel gains and noise powers must be finite")
         if np.any(self.gamma < 0):
             raise ConfigError("channel power gains must be non-negative")
         if np.any(self.sigma <= 0):
@@ -233,6 +244,33 @@ class ChannelState:
         a_strong = self.stronger[:, a, b, :]  # (M, P, N)
         a, b = a[None, :, None], b[None, :, None]
         return _read_only(np.where(a_strong, a, b)), _read_only(np.where(a_strong, b, a))
+
+    def strong_side(self, x: np.ndarray) -> np.ndarray:
+        """The strong member's entry of every oriented pair: x (..., M, K, N)
+        gathered to (..., M, P, N)."""
+        return _pair_gather(x, self.pairs[0])
+
+    def weak_side(self, x: np.ndarray) -> np.ndarray:
+        """The weak member's entry of every oriented pair, as strong_side."""
+        return _pair_gather(x, self.pairs[1])
+
+    @cached_property
+    def pair_gains(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g_s, g_w), (M, P, N): each pair member's gain on its own head."""
+        return (_read_only(self.strong_side(self.gamma)),
+                _read_only(self.weak_side(self.gamma)))
+
+    @cached_property
+    def pair_noise(self) -> tuple[np.ndarray, np.ndarray]:
+        """Noise parts of each pair's cancellation margin and of its scale
+        (see ``pair_margins``): (g_w*s_s - g_s*s_w, g_w*s_s + g_s*s_w)."""
+        g_s, g_w = self.pair_gains
+        s_s, s_w = self.strong_side(self.sigma), self.weak_side(self.sigma)
+        return _read_only(g_w * s_s - g_s * s_w), _read_only(g_w * s_s + g_s * s_w)
+
+
+def _pair_gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(x, idx[(None,) * (x.ndim - 3)], axis=-2)
 
 
 @dataclass
@@ -363,6 +401,27 @@ def sic_margin(alloc: PowerAllocation, ch: ChannelState,
     )
 
 
+def sic_bracket(ch: ChannelState, c_s: np.ndarray) -> np.ndarray:
+    """Kept part of each oriented pair's cancellation margin,
+    g_w*(s_s + C_s) - g_s*s_w, from the cross interference C_s at the strong
+    member (``ch.strong_side(cross)``, any leading axes)."""
+    return ch.pair_noise[0] + ch.pair_gains[1] * c_s
+
+
+def pair_margins(ch: ChannelState, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vector form of ``sic_margin`` over every oriented pair: (omega, scale),
+    (..., M, P, N), from a cross-interference array (..., M, K, N).
+
+    omega = g_w*(s_s + C_s) - g_s*(s_w + C_w); positive breaks the decode
+    order.  scale is the sum of the four terms' magnitudes, the normaliser of
+    the relative tolerance bands."""
+    g_s, g_w = ch.pair_gains
+    c_s, c_w = ch.strong_side(cross), ch.weak_side(cross)
+    omega = sic_bracket(ch, c_s) - g_s * c_w
+    scale = ch.pair_noise[1] + g_w * c_s + g_s * c_w
+    return omega, scale
+
+
 # ---------------------------------------------------------------------------
 # feasibility
 # ---------------------------------------------------------------------------
@@ -468,21 +527,12 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
 
     # C14: cancellation order on active pairs, normalized by the term scale so
     # the band is dimensionless.
-    strong_idx, weak_idx = ch.pairs
-    cross = cross_interference(p, ch)
-
-    def at(x, idx):
-        return np.take_along_axis(x, idx, axis=1)  # (M, P, N)
-
-    g_s, g_w = at(ch.gamma, strong_idx), at(ch.gamma, weak_idx)
-    s_s, s_w = at(ch.sigma, strong_idx), at(ch.sigma, weak_idx)
-    c_s, c_w = at(cross, strong_idx), at(cross, weak_idx)
-    omega = g_w * s_s - g_s * s_w + g_w * c_s - g_s * c_w
-    scale = g_w * s_s + g_s * s_w + g_w * c_s + g_s * c_w
-    pair_power = at(p, strong_idx) * at(p, weak_idx)
+    omega, scale = pair_margins(ch, cross_interference(p, ch))
+    pair_power = ch.strong_side(p) * ch.weak_side(p)
     lhs = pair_power * omega
     band = tol.c14_rel_tol * pair_power * scale
     hit = np.nonzero((lhs > band) & (pair_power > 0))
+    strong_idx, weak_idx = ch.pairs
     rows = np.stack([hit[0], strong_idx[hit], weak_idx[hit], hit[2]], axis=1)
     order = np.lexsort(rows.T[::-1])  # (m, strong, weak, n) order
     for index, magnitude in zip(rows[order].tolist(), lhs[hit][order].tolist()):

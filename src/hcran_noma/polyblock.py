@@ -32,6 +32,14 @@ from . import model
 from .model import (ChannelState, NetworkConfig, PowerAllocation,
                     cross_interference)
 
+# bisection steps of each projection onto the normal set's boundary
+_BISECT_ITER = 40
+# live vertices kept; the lowest-bound ones beyond this are evicted
+_VERTEX_CAP = 5000
+# PolyblockSolver's stop: certified gap below this share of the objective's
+# range over the box
+_EPS_REL = 1e-2
+
 
 @dataclass
 class CanonicalProblem:
@@ -66,19 +74,18 @@ class PolyblockResult:
                               # a valid bound but may no longer shrink to eps
 
 
-def project(problem: CanonicalProblem, vertex: np.ndarray,
-            bisect_iter: int = 40) -> tuple[np.ndarray, float]:
+def project(problem: CanonicalProblem, vertex: np.ndarray) -> tuple[np.ndarray, float]:
     """Boundary point of the normal set along the ray 0 -> vertex.
 
     Returns (point, lam) with point = lam * vertex, lam the largest scale kept
-    inside the normal set, found by bisection to 2^-bisect_iter resolution.
+    inside the normal set, found by bisection to 2^-_BISECT_ITER resolution.
     A vertex already inside the set projects to itself."""
     if problem.in_normal(vertex):
         return vertex.copy(), 1.0
     lo, hi = 0.0, 1.0
     if not problem.in_normal(np.zeros_like(vertex)):
         raise ValueError("the origin must belong to the normal set")
-    for _ in range(bisect_iter):
+    for _ in range(_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if problem.in_normal(mid * vertex):
             lo = mid
@@ -88,8 +95,7 @@ def project(problem: CanonicalProblem, vertex: np.ndarray,
 
 
 def polyblock_solve(problem: CanonicalProblem, eps: float,
-                    max_iter: int = 3000, bisect_iter: int = 40,
-                    vertex_cap: int = 5000,
+                    max_iter: int = 3000,
                     initial: tuple[np.ndarray, float] | None = None,
                     trace: list | None = None) -> PolyblockResult:
     """Run the outer-approximation loop until the certified gap drops below
@@ -135,7 +141,7 @@ def polyblock_solve(problem: CanonicalProblem, eps: float,
         fvals.pop(i_best)
         if not problem.in_conormal(v):
             continue  # improper: no co-normal point fits under this vertex
-        x, _ = project(problem, v, bisect_iter)
+        x, _ = project(problem, v)
         candidate = problem.lift(x) if problem.lift is not None else x
         if problem.in_conormal(candidate):
             val = problem.objective(candidate)
@@ -149,8 +155,8 @@ def polyblock_solve(problem: CanonicalProblem, eps: float,
                 continue
             verts.append(child)
             fvals.append(fc)
-        if len(verts) > vertex_cap:
-            order = np.argsort(fvals)[::-1][:vertex_cap]
+        if len(verts) > _VERTEX_CAP:
+            order = np.argsort(fvals)[::-1][:_VERTEX_CAP]
             verts = [verts[j] for j in order]
             fvals = [fvals[j] for j in order]
             evicted = True
@@ -188,14 +194,9 @@ class NomaCanonical:
         self.ell = cfg.l_max + 1
 
         strong_idx, weak_idx = ch.pairs
-        cm = cross_interference(cfg.p_mask, ch)
-        g_s = np.take_along_axis(ch.gamma, strong_idx, axis=1)
-        g_w = np.take_along_axis(ch.gamma, weak_idx, axis=1)
-        s_s = np.take_along_axis(ch.sigma, strong_idx, axis=1)
-        s_w = np.take_along_axis(ch.sigma, weak_idx, axis=1)
-        cm_s = np.take_along_axis(cm, strong_idx, axis=1)
         # keep a pair only if its margin can turn positive somewhere in the box
-        can_violate = g_w * s_s - g_s * s_w + g_w * cm_s > 0
+        cm_s = ch.strong_side(cross_interference(cfg.p_mask, ch))
+        can_violate = model.sic_bracket(ch, cm_s) > 0
         km, kq, kn = np.nonzero(can_violate)
         self.sic_m = km
         self.sic_n = kn
@@ -438,13 +439,9 @@ class PolyblockSolver:
     dimension is the power-tensor size plus the slack coordinates, and vertex
     growth is exponential in practice."""
 
-    def __init__(self, eps_rel: float = 1e-2, max_iter: int = 3000,
-                 bisect_iter: int = 40, vertex_cap: int = 5000,
-                 max_dim: int = 24, allow_high_dim: bool = False):
-        self.eps_rel = eps_rel
+    def __init__(self, max_iter: int = 3000, max_dim: int = 24,
+                 allow_high_dim: bool = False):
         self.max_iter = max_iter
-        self.bisect_iter = bisect_iter
-        self.vertex_cap = vertex_cap
         self.max_dim = max_dim
         self.allow_high_dim = allow_high_dim
 
@@ -461,15 +458,13 @@ class PolyblockSolver:
         problem = canon.problem()
         f_box = canon.objective(canon.box)
         f_zero = canon.objective(np.zeros(canon.dim))
-        eps = self.eps_rel * max(f_box - f_zero, 1e-12)
+        eps = _EPS_REL * max(f_box - f_zero, 1e-12)
         initial = None
         if warm_start is not None:
             y0 = canon.embed(warm_start.p)
             if problem.in_normal(y0) and problem.in_conormal(y0):
                 initial = (y0, canon.objective(y0))
-        res = polyblock_solve(problem, eps, max_iter=self.max_iter,
-                              bisect_iter=self.bisect_iter,
-                              vertex_cap=self.vertex_cap, initial=initial,
+        res = polyblock_solve(problem, eps, max_iter=self.max_iter, initial=initial,
                               trace=stats.gap_trace)
         stats.poly_status = res.status
         stats.iterations = res.iterations

@@ -66,6 +66,12 @@ _MIN_SWEEPS = 8
 # and the peak-gain assignments
 _MULTISTART_CELLS = 16
 _MULTISTART_ASSIGNMENTS = 8
+# bisection steps of the per-head budget multiplier in every sweep
+_BUDGET_BISECTIONS = 42
+# the streaming trim leaves each user this much (bits/s/Hz) above its minimum
+# rate, in at most this many passes over the streaming users
+_TRIM_MARGIN = 0.05
+_TRIM_PASSES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +196,6 @@ class DualState:
     xi: np.ndarray
     zeta: np.ndarray
     zeta_t: np.ndarray
-
-    def max_entry(self) -> float:
-        return float(max(self.xi.max(initial=0.0), self.zeta.max(initial=0.0),
-                         self.zeta_t.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -348,8 +350,6 @@ class SolveStats:
     round_objectives: list = field(default_factory=list)  # surrogate per round
     true_objective: float = float("nan")
     used_warm_start: bool = False
-    denominator_floor_hits: int = 0
-    max_dual: float = 0.0
     fixed_point_residual: float = float("nan")  # |p - update(p)| / p_max at exit
     infeasible_reason: str | None = None
     wall_time: float = 0.0
@@ -380,8 +380,7 @@ def _closed_form(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
 
 
 def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
-                 budget: np.ndarray, warm: np.ndarray | None = None,
-                 iters: int = 42) -> np.ndarray:
+                 budget: np.ndarray, warm: np.ndarray | None = None) -> np.ndarray:
     """Per-RRH budget multipliers solved to complementary slackness: the
     smallest xi >= 0 with sum_kn clip(num/(den_rest + xi), 0, mask) <= budget.
     The per-entry power is nonincreasing in xi, so plain bisection works;
@@ -405,7 +404,7 @@ def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
         if not over.any():
             break
         hi[over] *= 8.0
-    for _ in range(iters):
+    for _ in range(_BUDGET_BISECTIONS):
         mid = 0.5 * (lo + hi)
         over = sums(mid) > budget
         lo = np.where(over, mid, lo)
@@ -420,7 +419,6 @@ class _Snapshot:
     slacks: ConstraintSlacks
     objective: float
     max_violation: float
-    floor_hits: int
 
 
 class ScaleSolver:
@@ -438,6 +436,12 @@ class ScaleSolver:
         ctx = _SolveContext(ch, cfg, e)
 
         if warm_start is not None:
+            # repair keeps a start's seating, so it must already be exclusive
+            seated = warm_start.p > ctx.p_floor
+            if (np.any(seated.any(axis=2).sum(axis=0) > 1)
+                    or np.any(seated.sum(axis=1) > cfg.l_max)):
+                raise ValueError("a warm start must seat each user on one head and "
+                                 "at most l_max users per subcarrier")
             starts = [np.clip(warm_start.p, ctx.p_floor, cfg.p_mask)]
             stats.used_warm_start = True
         elif ch.gamma.size <= _MULTISTART_CELLS:
@@ -506,7 +510,6 @@ class ScaleSolver:
                 snap = ctx.analyze(p, duals, coeffs, lin)
                 xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi)
                 p_next = ctx.sweep(snap, xi, mask_eff)
-                stats.denominator_floor_hits += snap.floor_hits
                 duals = dual_update(duals, snap.slacks, ctx.step_rule, v)
                 duals.xi = xi
                 delta = np.abs(p_next - p).max(axis=(1, 2))
@@ -536,7 +539,6 @@ class ScaleSolver:
         xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi)
         p_check = ctx.sweep(snap, xi, mask_eff)
         residual = float((np.abs(p_check - p).max(axis=(1, 2)) / cfg.p_max).max())
-        stats.max_dual = max(stats.max_dual, duals.max_entry())
         return p, round_objs, residual
 
 
@@ -565,17 +567,11 @@ class _SolveContext:
         self.flat_strong = ((base * k_count + self.strong_idx) * n_count + subc).ravel()
         self.flat_weak = ((base * k_count + self.weak_idx) * n_count + subc).ravel()
 
-        self.g_s = np.take_along_axis(ch.gamma, self.strong_idx, axis=1)
-        self.g_w = np.take_along_axis(ch.gamma, self.weak_idx, axis=1)
-        self.s_s = np.take_along_axis(ch.sigma, self.strong_idx, axis=1)
-        self.s_w = np.take_along_axis(ch.sigma, self.weak_idx, axis=1)
-        cross_mask = cross_interference(cfg.p_mask, ch)
-        cm_s = np.take_along_axis(cross_mask, self.strong_idx, axis=1)
-        cm_w = np.take_along_axis(cross_mask, self.weak_idx, axis=1)
-        self.sic_scale = (self.g_w * self.s_s + self.g_s * self.s_w
-                          + self.g_w * cm_s + self.g_s * cm_w + 1e-300)
-        self.mask_s = np.take_along_axis(cfg.p_mask, self.strong_idx, axis=1)
-        self.mask_w = np.take_along_axis(cfg.p_mask, self.weak_idx, axis=1)
+        self.g_s, self.g_w = ch.pair_gains
+        _, scale_at_mask = model.pair_margins(ch, cross_interference(cfg.p_mask, ch))
+        self.sic_scale = scale_at_mask + 1e-300
+        self.mask_s = ch.strong_side(cfg.p_mask)
+        self.mask_w = ch.weak_side(cfg.p_mask)
 
         # fixed scale (bits/s/Hz): keeps the multiplier trajectory independent
         # of the traffic targets except where the constraint actually binds
@@ -593,7 +589,6 @@ class _SolveContext:
             zeta_cap=cap,
             sic_cap=cap * den_scale / p_ref,
         )
-        self.den_floor = 1e-12 * den_scale
 
     # -- state builders -----------------------------------------------------
     def fresh_duals(self) -> DualState:
@@ -606,11 +601,9 @@ class _SolveContext:
     def linearize(self, p_lin: np.ndarray) -> dict:
         """Tangent constants of the subtracted cross-product term for every
         oriented pair, at the round's reference point."""
-        cross_lin = cross_interference(p_lin, self.ch)
-        p_s = np.take_along_axis(p_lin, self.strong_idx, axis=1)
-        p_w = np.take_along_axis(p_lin, self.weak_idx, axis=1)
-        c_w = np.take_along_axis(cross_lin, self.weak_idx, axis=1)
-        gconst = self.g_s * p_s * p_w
+        ch = self.ch
+        c_w = ch.weak_side(cross_interference(p_lin, ch))
+        gconst = self.g_s * ch.strong_side(p_lin) * ch.weak_side(p_lin)
         return {"p_lin": p_lin, "log_p_lin": np.log(np.maximum(p_lin, _Z_FLOOR)),
                 "gconst": gconst, "g_val": gconst * c_w}
 
@@ -643,10 +636,8 @@ class _SolveContext:
         sic_slack = np.zeros((m_count, self.n_pairs, n_count))
         if self.n_pairs:
             zt = duals.zeta_t
-            p_s = np.take_along_axis(p, self.strong_idx, axis=1)
-            p_w = np.take_along_axis(p, self.weak_idx, axis=1)
-            c_s = np.take_along_axis(cross, self.strong_idx, axis=1)
-            bracket = self.g_w * self.s_s - self.g_s * self.s_w + self.g_w * c_s
+            p_s, p_w = ch.strong_side(p), ch.weak_side(p)
+            bracket = model.sic_bracket(ch, ch.strong_side(cross))
 
             if zt.any():
                 den_sic = (_scatter(self.flat_strong, (zt * p_w * bracket).ravel(),
@@ -673,13 +664,12 @@ class _SolveContext:
 
             # linearized residual for the multiplier update
             dlog = np.log(np.maximum(p, _Z_FLOOR)) - lin["log_p_lin"]
-            dlog_s = np.take_along_axis(dlog, self.strong_idx, axis=1)
-            dlog_w = np.take_along_axis(dlog, self.weak_idx, axis=1)
+            dlog_s, dlog_w = ch.strong_side(dlog), ch.weak_side(dlog)
             f_term = (lin["p_lin"] * dlog).sum(axis=1)             # (M, N)
             h_full = np.einsum("jn,jbn->bn", f_term, gamma)
             h_cross = h_full[None, :, :] - f_term[:, None, :] * gamma
-            h_w = np.take_along_axis(h_cross, self.weak_idx, axis=1)
-            g_lin = lin["g_val"] * (1.0 + dlog_s + dlog_w) + lin["gconst"] * h_w
+            g_lin = (lin["g_val"] * (1.0 + dlog_s + dlog_w)
+                     + lin["gconst"] * ch.weak_side(h_cross))
             sic_slack = p_s * p_w * bracket - g_lin
 
         num = c_rate / LN2 + num_sic
@@ -688,7 +678,6 @@ class _SolveContext:
         # pins the iterate's scale; every other family stays on subgradients
         den = ((self.e * cfg.eta)[:, None, None] * self.elastic[None, :, None]
                + psi_same + psi_cross + den_sic)
-        floor_hits = int(np.count_nonzero((den <= self.den_floor) & (num > 0)))
 
         budget = p.sum(axis=(1, 2)) - cfg.p_max
         r_user = np.einsum("mk,mkn->k", self.weights, r_hat)
@@ -708,7 +697,7 @@ class _SolveContext:
         )
         slacks = ConstraintSlacks(rate=rate, sic=sic_slack)
         return _Snapshot(num=num, den=den, slacks=slacks, objective=objective,
-                         max_violation=max_violation, floor_hits=floor_hits)
+                         max_violation=max_violation)
 
     def sweep(self, snap: _Snapshot, xi: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Closed-form power update from one snapshot and budget multipliers."""
@@ -746,25 +735,14 @@ class _SolveContext:
     # -- repair -----------------------------------------------------------------
     def repair(self, p: np.ndarray) -> tuple[np.ndarray, bool]:
         """Project the converged iterate onto the hard constraint set: drop
-        sub-threshold powers, enforce one serving RRH per user and the
-        per-subcarrier user limit, restore the cancellation order, rescale to
-        the budgets, then lift streaming users back to their minimum rates."""
+        sub-threshold powers, restore the cancellation order, rescale to the
+        budgets, then lift streaming users back to their minimum rates.  The
+        iterate's support lies inside its start's exclusive seating (every
+        unseated entry sits at the log floor), so one head per user and the
+        per-subcarrier user limit already hold."""
         cfg, ch = self.cfg, self.ch
         q = p.copy()
         q[q <= cfg.binarization_threshold] = 0.0
-        m_count, k_count, n_count = q.shape
-
-        if m_count > 1:
-            best = np.argmax(q.sum(axis=2), axis=0)
-            keep = np.zeros_like(q, dtype=bool)
-            keep[best, np.arange(k_count), :] = True
-            q[~keep] = 0.0
-
-        if k_count > cfg.l_max:
-            order = np.argsort(q, axis=1)[:, ::-1, :]
-            ranked = np.take_along_axis(q, order, axis=1)
-            keep_rank = np.arange(k_count)[None, :, None] < cfg.l_max
-            np.put_along_axis(q, order, np.where(keep_rank, ranked, 0.0), axis=1)
 
         self._repair_sic(q)
         scale = np.minimum(1.0, cfg.p_max / np.maximum(q.sum(axis=(1, 2)), 1e-300))
@@ -796,24 +774,16 @@ class _SolveContext:
         positive, preferring to drop an elastic partner over a streaming one;
         iterates because removals change the cross interference.  Returns the
         mask of cells zeroed."""
-        cfg = self.cfg
+        cfg, ch = self.cfg, self.ch
         removed = np.zeros_like(q, dtype=bool)
-        if not self.n_pairs:
-            return removed
         weak_elastic = self.elastic[self.weak_idx]
         strong_elastic = self.elastic[self.strong_idx]
         # drop the weak side unless only the strong side is elastic
         drop_idx = np.where(~weak_elastic & strong_elastic,
                             self.strong_idx, self.weak_idx)
         for _ in range(cfg.n_users + 1):
-            cross = cross_interference(q, self.ch)
-            c_s = np.take_along_axis(cross, self.strong_idx, axis=1)
-            c_w = np.take_along_axis(cross, self.weak_idx, axis=1)
-            omega = (self.g_w * self.s_s - self.g_s * self.s_w
-                     + self.g_w * c_s - self.g_s * c_w)
-            p_s = np.take_along_axis(q, self.strong_idx, axis=1)
-            p_w = np.take_along_axis(q, self.weak_idx, axis=1)
-            bad = (p_s > 0) & (p_w > 0) & (
+            omega, _ = model.pair_margins(ch, cross_interference(q, ch))
+            bad = (ch.strong_side(q) > 0) & (ch.weak_side(q) > 0) & (
                 omega > 0.5 * cfg.tolerances.c14_rel_tol * self.sic_scale)
             if not bad.any():
                 return removed
@@ -875,20 +845,19 @@ def greedy_init(cfg: NetworkConfig, ch: ChannelState,
 
 
 def _trim_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
-                    min_rates: np.ndarray, margin: float = 0.05,
-                    passes: int = 2) -> None:
+                    min_rates: np.ndarray) -> None:
     """Scale each streaming user's powers down until its rate sits just above
     its minimum.  Trimming only removes interference, so every other user's
     rate can only rise; the bisection controls the trimmed user's own rate."""
     streaming = cfg.streaming_users()
-    for _ in range(passes):
+    for _ in range(_TRIM_PASSES):
         trimmed = False
         for k in streaming:
             base = p[:, k, :].copy()
             if base.max() <= 0:
                 continue
             rate = float(model.per_user_rate(PowerAllocation(p=p), ch, cfg)[k])
-            target = min_rates[k] + margin
+            target = min_rates[k] + _TRIM_MARGIN
             if rate <= target:
                 continue
             lo, hi = 0.0, 1.0
@@ -906,8 +875,7 @@ def _trim_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
 
 
 def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
-                     min_rates: np.ndarray,
-                     banned: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+                     min_rates: np.ndarray, banned: np.ndarray) -> tuple[np.ndarray, bool]:
     """Raise streaming users' powers until each meets its minimum rate.
 
     Water-fills each deficient user's serving RRH, best-channel subcarriers
@@ -919,10 +887,6 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
     make headroom; a user whose serving head is exhausted is moved wholesale
     to its next-best head.  Returns (powers, success)."""
     streaming = cfg.streaming_users()
-    if not streaming:
-        return p, True
-    if banned is None:
-        banned = np.zeros_like(p, dtype=bool)
     elastic = cfg.elastic_mask()
     tol = cfg.tolerances.c13_rate_tol
     m_count, k_count, n_count = p.shape

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,6 +171,12 @@ class Scenario:
     l_max: int = 3           # 1 reproduces the orthogonal baseline
     n_subcarriers: int = 32
     bandwidth_hz: float = 1.0e6
+    m_f: int | None = None   # low-power heads; None keeps the architecture's count
+    mask_dbm: float | None = None  # None: mask = budget / N
+    noise_dbm_hz: float = -174.0
+    queue_packets: float = 25.0
+    packet_bits: float = 1024.0
+    tolerances: Tolerances = field(default_factory=Tolerances)
     draws: int = 50
     seed: int = 1
     solver: str = "scale"    # "scale" | "polyblock"
@@ -220,9 +226,13 @@ def _draw_rng(scenario: Scenario, value, draw: int) -> np.random.Generator:
 def _config_for(scenario: Scenario, value, rng: np.random.Generator) -> NetworkConfig:
     kw = dict(architecture=scenario.architecture, k_total=scenario.k_total,
               k_streaming=scenario.k_streaming, rng=rng,
-              arrival_rate=scenario.arrival_rate, l_max=scenario.l_max,
+              arrival_rate=scenario.arrival_rate,
+              queue_packets=scenario.queue_packets,
+              packet_bits=scenario.packet_bits, l_max=scenario.l_max,
               n_subcarriers=scenario.n_subcarriers,
-              bandwidth_hz=scenario.bandwidth_hz)
+              bandwidth_hz=scenario.bandwidth_hz, m_f=scenario.m_f,
+              noise_dbm_hz=scenario.noise_dbm_hz,
+              tolerances=scenario.tolerances, mask_dbm=scenario.mask_dbm)
     if scenario.sweep == "users":
         kw["k_total"] = int(value)
     elif scenario.sweep == "streaming":
@@ -366,21 +376,10 @@ def grid_oracle(inst: TinyInstance, levels: int = 20) -> float:
         ok &= np.all(per_user[:, streaming] >= min_rates[None, streaming]
                      - cfg.tolerances.c13_rate_tol, axis=1)
 
-    strong_idx, weak_idx = ch.pairs
-    if strong_idx.shape[1]:
-        mm = np.arange(cfg.n_rrh)[:, None, None]
-        nn = np.arange(cfg.n_subcarriers)[None, None, :]
-        g_s, g_w = gamma[mm, strong_idx, nn], gamma[mm, weak_idx, nn]
-        s_s, s_w = sigma[mm, strong_idx, nn], sigma[mm, weak_idx, nn]
-        c_s = cross[:, mm, strong_idx, nn]
-        c_w = cross[:, mm, weak_idx, nn]
-        p_s = p[:, mm, strong_idx, nn]
-        p_w = p[:, mm, weak_idx, nn]
-        omega = (g_w * s_s - g_s * s_w)[None] + g_w[None] * c_s - g_s[None] * c_w
-        scale = (g_w * s_s + g_s * s_w)[None] + g_w[None] * c_s + g_s[None] * c_w
-        bad = (p_s * p_w * omega
-               > cfg.tolerances.c14_rel_tol * p_s * p_w * scale)
-        ok &= ~bad.any(axis=(1, 2, 3))
+    p_s, p_w = ch.strong_side(p), ch.weak_side(p)
+    omega, scale = model.pair_margins(ch, cross)
+    bad = p_s * p_w * omega > cfg.tolerances.c14_rel_tol * p_s * p_w * scale
+    ok &= ~bad.any(axis=(1, 2, 3))
 
     if not ok.any():
         return float("-inf")

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from hcran_noma import cli
+from hcran_noma import cli, scenarios
 from hcran_noma.model import ConfigError
 
 
@@ -105,6 +107,40 @@ class TestCommands:
         assert cfg.users == loaded.users
         assert cfg.users[0].traffic.q_len == 30.0
         assert cfg.users[0].traffic.packet_bits == 512.0
+
+    def test_sweep_keeps_config(self, tmp_path, monkeypatch):
+        # every network key of the YAML reaches the swept draws, as it
+        # reaches the single solve, and the CSV header records it
+        path = tmp_path / "keys.yaml"
+        path.write_text("users: 3\nstreaming_users: 1\nn_subcarriers: 2\n"
+                        "m_f: 1\nmask_dbm: 10\nnoise_dbm_hz: -170\n"
+                        "queue_packets: 30\npacket_bits: 512\n"
+                        "tolerances: {xi: 0.5}\ndraws: 1\n")
+        loaded, _ = cli.load_config(path)
+        seen = []
+        real_gen_channel = scenarios.gen_channel
+
+        def gen_channel(cfg, rng):
+            seen.append(cfg)
+            return real_gen_channel(cfg, rng)
+
+        monkeypatch.setattr(scenarios, "gen_channel", gen_channel)
+        out = tmp_path / "keys.csv"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        cfg = seen[0]
+        assert cfg.n_rrh == loaded.n_rrh == 2
+        assert np.array_equal(cfg.p_mask, loaded.p_mask)
+        assert cfg.noise_density == loaded.noise_density
+        assert cfg.users == loaded.users
+        assert cfg.users[0].traffic.q_len == 30.0
+        assert cfg.users[0].traffic.packet_bits == 512.0
+        assert cfg.tolerances == loaded.tolerances and cfg.tolerances.xi == 0.5
+        header = next(l for l in out.read_text().splitlines()
+                      if l.startswith("# config: "))
+        blob = json.loads(header[len("# config: "):])
+        assert blob["m_f"] == 1 and blob["mask_dbm"] == 10
+        assert blob["noise_dbm_hz"] == -170.0 and blob["queue_packets"] == 30.0
+        assert blob["packet_bits"] == 512.0 and blob["tolerances"]["xi"] == 0.5
 
     def test_sweep_reproducible_bytes(self, tmp_path):
         cfgp = _write_small_config(tmp_path)

@@ -107,7 +107,7 @@ class TestSolve:
 
         cfg = replace(small_cfg, tolerances=Tolerances(xi=1e-12, outer_max=3))
         trace = dinkelbach.solve(small_channel, cfg, ImprovingInner())
-        assert trace.cap_hit and trace.status == "cap"
+        assert trace.status == "cap"
 
     def test_matches_grid_oracle_on_tiny_instance(self):
         # brute-force ratio maximization over a 20-level power grid

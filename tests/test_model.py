@@ -1,5 +1,6 @@
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hcran_noma import dinkelbach, model
 from hcran_noma.model import (ChannelState, ConfigError, PowerAllocation,
-                              check_feasibility, derive_binaries,
+                              Tolerances, check_feasibility, derive_binaries,
                               energy_efficiency, sic_margin, sinr,
                               total_power, user_rate, weighted_sum_rate)
 from hcran_noma.scale import ScaleSolver
@@ -164,9 +165,11 @@ class TestEnergyEfficiency:
 class TestDecodeOrder:
     def test_built_once_per_channel(self, monkeypatch):
         # the decode order depends on the gains alone: one solve plus the
-        # feasibility check must build the mask and the oriented pairs once
+        # feasibility check must build the mask, the oriented pairs and the
+        # pair constants once
+        names = ("stronger", "pairs", "pair_gains", "pair_noise")
         builds = []
-        for name in ("stronger", "pairs"):
+        for name in names:
             build = ChannelState.__dict__[name].func
 
             def counted(ch, build=build, name=name):
@@ -180,7 +183,22 @@ class TestDecodeOrder:
         ch = make_channel(cfg, seed=3)
         trace = dinkelbach.solve(ch, cfg, ScaleSolver())
         check_feasibility(trace.final_allocation, ch, cfg)
-        assert sorted(builds) == [("pairs", id(ch)), ("stronger", id(ch))]
+        assert sorted(builds) == sorted((name, id(ch)) for name in names)
+
+    def test_pair_gathers_over_leading_axes(self):
+        cfg = make_config(m=2, k=4, n=3)
+        ch = make_channel(cfg, seed=8)
+        strong_idx, weak_idx = ch.pairs
+        x = np.random.default_rng(9).uniform(size=(5,) + ch.gamma.shape)
+        s, w = ch.strong_side(x), ch.weak_side(x)
+        assert s.shape == w.shape == (5,) + strong_idx.shape
+        for g, m, q, n in itertools.product(range(5), range(2), range(6), range(3)):
+            assert s[g, m, q, n] == x[g, m, strong_idx[m, q, n], n]
+            assert w[g, m, q, n] == x[g, m, weak_idx[m, q, n], n]
+        # leading axes change nothing per slice
+        omega, scale = model.pair_margins(ch, x)
+        omega1, scale1 = model.pair_margins(ch, x[3])
+        assert np.array_equal(omega[3], omega1) and np.array_equal(scale[3], scale1)
 
     def test_pairs_follow_the_mask(self):
         cfg = make_config(m=2, k=4, n=3)
@@ -372,6 +390,30 @@ class TestDeriveBinaries:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name, value", [
+        ("outer_max", 0), ("s_max", 0), ("v_max", 0),
+        ("xi", -1.0), ("xi", float("nan"))])
+    def test_bad_tolerance_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            Tolerances(**{name: value})
+
+    @pytest.mark.parametrize("which", ["gamma", "sigma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_channel_rejected(self, which, bad):
+        ch = make_channel(make_config())
+        arrays = {"gamma": ch.gamma.copy(), "sigma": ch.sigma.copy()}
+        arrays[which][0, 1, 0] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            ChannelState(**arrays)
+
+    @pytest.mark.parametrize("name", ["p_max", "p_mask", "eta", "weights"])
+    def test_non_finite_network_array_rejected(self, name):
+        cfg = make_config()
+        bad = getattr(cfg, name).copy()
+        bad.flat[0] = np.nan
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            replace(cfg, **{name: bad})
+
     def test_mask_above_budget(self):
         cfg = make_config()
         with pytest.raises(ConfigError):

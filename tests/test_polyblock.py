@@ -76,7 +76,7 @@ class TestProject:
 
     def test_boundary_resolution(self):
         prob = interval_problem()
-        x, lam = project(prob, np.array([1.0]), bisect_iter=40)
+        x, lam = project(prob, np.array([1.0]))
         assert prob.in_normal(x)
         assert not prob.in_normal(x * (1 + 1e-9))
         assert x[0] == pytest.approx(0.7, abs=1e-10)

@@ -363,6 +363,37 @@ class TestInnerSolve:
         assert ctx_val >= warm_val - 1e-9
 
 
+class TestExclusiveOutput:
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(1, 3), k=st.integers(2, 5), n=st.integers(1, 3),
+           l_max=st.integers(1, 3), n_streaming=st.integers(0, 2),
+           seed=st.integers(0, 2**16), e=st.floats(0.0, 2.0))
+    def test_cold_and_warm_support_is_exclusive(self, m, k, n, l_max,
+                                                n_streaming, seed, e):
+        # every start is an exclusive seating and repair never widens it:
+        # one head per user, at most l_max users per (m, n)
+        cfg = make_config(m=m, k=k, n=n, l_max=l_max,
+                          streaming=tuple(range(n_streaming)))
+        ch = make_channel(cfg, seed=seed)
+        cold = ScaleSolver().solve_fixed_e(ch, cfg, e)
+        results = [cold]
+        if cold.status == "ok":
+            e_next = model.energy_efficiency(cold.allocation, ch, cfg).ee
+            results.append(ScaleSolver().solve_fixed_e(ch, cfg, e_next,
+                                                       warm_start=cold.allocation))
+        for res in results:
+            on = res.allocation.p > 0
+            assert np.all(on.any(axis=2).sum(axis=0) <= 1)
+            assert np.all(on.sum(axis=1) <= cfg.l_max)
+
+    def test_non_exclusive_warm_start_rejected(self):
+        cfg = make_config(m=2, k=3, n=2)
+        ch = make_channel(cfg, seed=4)
+        warm = PowerAllocation(p=0.5 * cfg.p_mask)  # every user on both heads
+        with pytest.raises(ValueError, match="warm start"):
+            ScaleSolver().solve_fixed_e(ch, cfg, 0.0, warm_start=warm)
+
+
 class TestGreedyInit:
     def test_exclusive_seating(self):
         cfg = make_config(m=2, k=5, n=3, streaming=(0,), l_max=3)
