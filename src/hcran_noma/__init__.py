@@ -1,6 +1,6 @@
 """Energy-efficient power allocation and RRH selection for layered NOMA
 cloud radio access networks: system model, fractional-programming solver with
-a convex-approximation inner loop, a global monotonic-optimization oracle,
+a convex-approximation inner loop, a global branch-and-bound oracle,
 an M/G/1 delay-to-rate transform, signalling-overhead estimates, and a
 sweep harness whose output is identical for any number of worker
 processes."""
@@ -14,7 +14,7 @@ from .traffic import (TrafficSpec, delay_roots, max_delay_from_queue,
 from .dinkelbach import (DinkelbachTrace, InfeasibleProblemError, InnerSolver,
                          solve, surplus)
 from .scale import ScaleSolver, scale_coeffs
-from .polyblock import PolyblockSolver, canonicalize, polyblock_solve, project
+from .polyblock import PolyblockSolver
 from .scenarios import Scenario, build_config, gen_channel, run_sweep
 from .overhead import QuantizationTable, count_centralized, count_distributed
 
@@ -27,7 +27,7 @@ __all__ = [
     "validate_delay",
     "DinkelbachTrace", "InfeasibleProblemError", "InnerSolver", "solve", "surplus",
     "ScaleSolver", "scale_coeffs",
-    "PolyblockSolver", "canonicalize", "polyblock_solve", "project",
+    "PolyblockSolver",
     "Scenario", "build_config", "gen_channel", "run_sweep",
     "QuantizationTable", "count_centralized", "count_distributed",
 ]

@@ -46,6 +46,15 @@ _TOLERANCE_KEYS = {"xi", "varpi1_rel", "varpi2_rel", "s_max", "v_max",
                    "outer_max", "rho1", "rho2"}
 
 
+def _number(key: str, value) -> float | None:
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def load_config(path: str | Path | None) -> tuple[NetworkConfig, Scenario]:
     """Parse a YAML config into a validated network (defaults applied) and a
     scenario.  An empty or missing-body file yields the full defaults."""
@@ -65,27 +74,36 @@ def load_config(path: str | Path | None) -> tuple[NetworkConfig, Scenario]:
         if key not in _TOLERANCE_KEYS:
             raise ConfigError(f"unknown tolerances key {key!r}")
 
-    l_max = 1 if raw.get("oma") else int(raw.get("l_max", 3))
+    def whole(key: str, default):
+        """An integer key: any integral number, else a named ConfigError."""
+        value = raw.get(key, default)
+        if value is None or isinstance(value, int):
+            return value
+        number = _number(key, value)
+        if not number.is_integer():
+            raise ConfigError(f"{key} must be a whole number, got {value!r}")
+        return int(number)
+
     scenario = Scenario(
         architecture=raw.get("architecture", "hcran"),
         sweep=raw.get("sweep", "none"),
         values=tuple(raw.get("values", (raw.get("users", 12),))),
-        k_total=int(raw.get("users", 12)),
-        k_streaming=int(raw.get("streaming_users", 6)),
-        arrival_rate=float(raw.get("arrival_rate", 125.0)),
-        l_max=l_max,
-        n_subcarriers=int(raw.get("n_subcarriers", 32)),
-        bandwidth_hz=float(raw.get("bandwidth_hz", 1.0e6)),
-        m_f=raw.get("m_f"),
-        mask_dbm=raw.get("mask_dbm"),
-        noise_dbm_hz=float(raw.get("noise_dbm_hz", -174.0)),
-        queue_packets=float(raw.get("queue_packets", 25.0)),
-        packet_bits=float(raw.get("packet_bits", 1024.0)),
+        k_total=whole("users", 12),
+        k_streaming=whole("streaming_users", 6),
+        arrival_rate=_number("arrival_rate", raw.get("arrival_rate", 125.0)),
+        l_max=1 if raw.get("oma") else whole("l_max", 3),
+        n_subcarriers=whole("n_subcarriers", 32),
+        bandwidth_hz=_number("bandwidth_hz", raw.get("bandwidth_hz", 1.0e6)),
+        m_f=whole("m_f", None),
+        mask_dbm=_number("mask_dbm", raw.get("mask_dbm")),
+        noise_dbm_hz=_number("noise_dbm_hz", raw.get("noise_dbm_hz", -174.0)),
+        queue_packets=_number("queue_packets", raw.get("queue_packets", 25.0)),
+        packet_bits=_number("packet_bits", raw.get("packet_bits", 1024.0)),
         tolerances=Tolerances(**tol_raw),
-        draws=int(raw.get("draws", 50)),
-        seed=int(raw.get("seed", 1)),
+        draws=whole("draws", 50),
+        seed=whole("seed", 1),
         solver=raw.get("solver", "scale"),
-        workers=int(raw.get("workers", 1)),
+        workers=whole("workers", 1),
     )
     # solve's network is the sweep's draw-0 network without the sweep variable
     cfg = _config_for(replace(scenario, sweep="none"), None,
@@ -307,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("--instances", type=int, default=20)
     p_gap.add_argument("--seed", type=int, default=0)
     p_gap.add_argument("--budget", type=int, default=800,
-                       help="polyblock iteration budget per instance")
+                       help="oracle box budget per instance")
     p_gap.add_argument("--out")
     p_gap.set_defaults(func=_cmd_gap)
     return parser

@@ -38,7 +38,10 @@ class QuantizationTable:
 
 
 def _multiplier_items(cfg: NetworkConfig) -> int:
-    """Total multiplier entries, by family:
+    """Total multiplier entries of the paper's formulation, C10 pair
+    products and C11 tuple products included.  ``scale`` carries fewer
+    families (xi per head, zeta per streaming user, zeta_t per cancellation
+    pair), because its exclusive seatings hold C10 and C11.  By family:
 
     - one per streaming user (minimum-rate constraints):            Ks
     - one per unordered cross-head pair of (subcarrier, subcarrier)

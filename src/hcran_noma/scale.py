@@ -469,9 +469,11 @@ class ScaleSolver:
         if feasible:
             feasible = model.check_feasibility(alloc, ch, cfg, ctx.min_rates).ok
 
-        # never return something worse than the (feasible) warm start
-        if warm_start is not None:
-            if not feasible or ctx.true_objective(repaired) < ctx.true_objective(warm_start.p):
+        # never return something worse than a feasible warm start
+        if warm_start is not None and (
+                not feasible
+                or ctx.true_objective(repaired) < ctx.true_objective(warm_start.p)):
+            if model.check_feasibility(warm_start, ch, cfg, ctx.min_rates).ok:
                 alloc = warm_start.copy()
                 feasible = True
         if not feasible:

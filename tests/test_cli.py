@@ -59,6 +59,23 @@ class TestLoadConfig:
         cfg, _ = cli.load_config(path)
         assert cfg.tolerances.xi == 0.5 and cfg.tolerances.s_max == 4
 
+    def test_integral_keys_converted(self, tmp_path):
+        path = tmp_path / "int.yaml"
+        path.write_text("m_f: 2.0\nmask_dbm: 10\n")
+        cfg, scenario = cli.load_config(path)
+        assert scenario.m_f == 2 and isinstance(scenario.m_f, int)
+        assert isinstance(scenario.mask_dbm, float)
+        assert cfg.n_rrh == 3
+
+    @pytest.mark.parametrize("text, key", [("m_f: 2.5\n", "m_f"),
+                                           ("users: many\n", "users"),
+                                           ("mask_dbm: loud\n", "mask_dbm")])
+    def test_non_integral_or_non_numeric_named(self, tmp_path, text, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            cli.load_config(path)
+
 
 def _write_small_config(tmp_path):
     path = tmp_path / "small.yaml"
@@ -188,3 +205,14 @@ class TestCommands:
         rc = cli.main(["solve", "--config", str(bad)])
         assert rc == 2
         assert "unknown_thing" in capsys.readouterr().err
+
+    def test_fractional_head_count_reported(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("m_f: 2.5\n")
+        assert cli.main(["solve", "--config", str(bad)]) == 2
+        assert "m_f" in capsys.readouterr().err
+
+    def test_oracle_refusal_reported(self, capsys):
+        # the default network has 3**12 head assignments, beyond the oracle
+        assert cli.main(["solve", "--solver", "polyblock"]) == 2
+        assert "head assignments" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcran_noma import dinkelbach, model
 from hcran_noma.dinkelbach import InfeasibleProblemError, surplus
@@ -130,3 +131,23 @@ class TestSolve:
         power = cfg.static_power() + cfg.eta[0] * p.sum(axis=(1, 2, 3))
         best = np.max((r / power)[ok])
         assert trace.final_e >= best * 0.98
+
+
+class TestSolveProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 2), k=st.integers(1, 4), n=st.integers(1, 3),
+           n_streaming=st.integers(0, 2),
+           bandwidth=st.sampled_from([1e3, 31250.0, 1e5]),
+           seed=st.integers(0, 2**16))
+    def test_feasible_or_infeasible_error(self, m, k, n, n_streaming, bandwidth, seed):
+        cfg = make_config(m=m, k=k, n=n, streaming=tuple(range(min(n_streaming, k))),
+                          bandwidth=bandwidth)
+        ch = make_channel(cfg, seed=seed)
+        try:
+            trace = dinkelbach.solve(ch, cfg, ScaleSolver())
+        except InfeasibleProblemError:
+            return
+        report = model.check_feasibility(trace.final_allocation, ch, cfg)
+        assert report.ok, report
+        es = trace.e_values
+        assert all(e2 > e1 for e1, e2 in zip(es, es[1:])), es

@@ -1,196 +1,200 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hcran_noma.polyblock import (CanonicalProblem, DimensionGuardError,
-                                  PolyblockSolver, canonicalize,
-                                  polyblock_solve, project)
+from hcran_noma import model
+from hcran_noma.model import PowerAllocation
+from hcran_noma.polyblock import DimensionGuardError, PolyblockSolver, _Boxes
 from hcran_noma.scale import ScaleSolver
 from hcran_noma.scenarios import grid_oracle, tiny_instance
 
 from conftest import make_config, make_channel
 
 
-def interval_problem(limit=0.7):
-    return CanonicalProblem(
-        box=np.array([1.0]),
-        objective=lambda y: float(y[0]),
-        in_normal=lambda y: bool(np.all(y >= -1e-12) and np.all(y <= limit + 1e-12)),
-        in_conormal=lambda y: True)
+def _objective(p, ch, cfg, e):
+    alloc = PowerAllocation(p=p)
+    return model.weighted_sum_rate(alloc, ch, cfg) - e * model.total_power(alloc, cfg)
 
 
-def simplex_problem():
-    return CanonicalProblem(
-        box=np.array([1.0, 1.0]),
-        objective=lambda y: float(y.sum()),
-        in_normal=lambda y: float(y.sum()) <= 1.0 + 1e-12 and bool(np.all(y >= -1e-12)),
-        in_conormal=lambda y: y[0] >= 0.2 - 1e-12)
+def _seated_box(cfg, rng):
+    """Random box [a, b] on a random exclusive seating, and a point in it."""
+    m, k, n = cfg.p_mask.shape
+    seated = np.zeros((m, k, n), dtype=bool)
+    seated[rng.integers(0, m, size=k), np.arange(k), :] = True
+    b = np.where(seated, rng.uniform(0.2, 1.0, (m, k, n)) * cfg.p_mask, 0.0)
+    a = b * rng.uniform(0.0, 1.0, (m, k, n)) * (rng.uniform(size=(m, k, n)) < 0.7)
+    return a, b, a + (b - a) * rng.uniform(0.0, 1.0, (m, k, n))
 
 
-class TestToyProblems:
-    def test_interval(self):
-        res = polyblock_solve(interval_problem(), eps=1e-3)
-        assert res.status == "optimal"
-        assert res.value == pytest.approx(0.7, abs=2e-3)
-
-    def test_simplex_with_lower_constraint(self):
-        res = polyblock_solve(simplex_problem(), eps=1e-2)
-        assert res.status == "optimal"
-        assert res.value == pytest.approx(1.0, abs=2e-2)
-        assert res.point[0] >= 0.2 - 1e-9
-
-    def test_no_feasible_point(self):
-        prob = CanonicalProblem(
-            box=np.array([1.0]),
-            objective=lambda y: float(y[0]),
-            in_normal=lambda y: bool(np.all(y <= 0.3 + 1e-12)),
-            in_conormal=lambda y: y[0] >= 0.8)  # disjoint from the normal set
-        res = polyblock_solve(prob, eps=1e-3, max_iter=200)
-        assert res.status == "infeasible"
-        assert res.point is None
-
-    def test_bound_and_incumbent_monotone(self):
-        trace = []
-        polyblock_solve(simplex_problem(), eps=1e-3, trace=trace)
-        bounds = [row[1] for row in trace]
-        incs = [row[2] for row in trace]
-        assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
-        assert all(i2 >= i1 for i1, i2 in zip(incs, incs[1:]))
-
-    def test_no_feasible_point_above_claimed_optimum(self):
-        # pruning safety: after the solve, a dense sample of the feasible set
-        # contains nothing better than incumbent + eps
-        prob = simplex_problem()
-        eps = 1e-2
-        res = polyblock_solve(prob, eps=eps)
-        xs, ys = np.meshgrid(np.linspace(0, 1, 101), np.linspace(0, 1, 101))
-        pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
-        feas = (pts.sum(axis=1) <= 1.0) & (pts[:, 0] >= 0.2)
-        assert pts[feas].sum(axis=1).max() <= res.value + eps + 1e-9
+def _panel_instance(index):
+    """One instance of the oracle panel: tiny_instance(default_rng(1)) drawn
+    over (M, K, N) in {1,2} x {2,3} x {1,2}, with one streaming user when K = 3."""
+    rng = np.random.default_rng(1)
+    sizes = [(m, k, n) for m in (1, 2) for k in (2, 3) for n in (1, 2)]
+    for m, k, n in sizes[:index + 1]:
+        inst = tiny_instance(rng, with_streaming=(k == 3), sizes=((m,), (k,), (n,)))
+    return inst
 
 
-class TestProject:
-    def test_identity_inside(self):
-        prob = interval_problem()
-        x, lam = project(prob, np.array([0.5]))
-        assert lam == 1.0 and x[0] == 0.5
-
-    def test_boundary_resolution(self):
-        prob = interval_problem()
-        x, lam = project(prob, np.array([1.0]))
-        assert prob.in_normal(x)
-        assert not prob.in_normal(x * (1 + 1e-9))
-        assert x[0] == pytest.approx(0.7, abs=1e-10)
-
-    def test_ray_intersection_2d(self):
-        prob = CanonicalProblem(
-            box=np.array([1.0, 1.0]),
-            objective=lambda y: float(y.sum()),
-            in_normal=lambda y: float(y.sum()) <= 1.0 + 1e-15,
-            in_conormal=lambda y: True)
-        x, _ = project(prob, np.array([1.0, 1.0]))
-        assert np.allclose(x, [0.5, 0.5], atol=1e-9)
-
-    def test_origin_must_be_feasible(self):
-        prob = CanonicalProblem(
-            box=np.array([1.0]),
-            objective=lambda y: float(y[0]),
-            in_normal=lambda y: 0.5 <= y[0] <= 0.8,
-            in_conormal=lambda y: True)
-        with pytest.raises(ValueError):
-            project(prob, np.array([1.0]))
-
-
-class TestCanonicalize:
-    def _instance(self, seed=0, streaming=()):
-        cfg = make_config(m=2, k=2, n=1, streaming=streaming)
-        ch = make_channel(cfg, seed=seed)
-        return cfg, ch
-
-    def test_objective_equivalence(self):
-        cfg, ch = self._instance(seed=1)
-        canon = canonicalize(ch, cfg, e=0.8)
+class TestBoxBound:
+    def test_degenerate_box_bound_is_objective(self):
+        cfg = make_config(m=2, k=3, n=2, streaming=(1,))
+        ch = make_channel(cfg, seed=1)
+        boxes = _Boxes(ch, cfg, 0.8)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            p = rng.uniform(0, 1, ch.gamma.shape) * cfg.p_mask
-            y = canon.embed(p)
-            lhs = canon.objective(y) - canon.offset
-            rhs = canon.value_original(p)
-            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+            _, _, p = _seated_box(cfg, rng)
+            bound, _ = boxes.evaluate(p[None], p[None])
+            assert bound[0] == pytest.approx(_objective(p, ch, cfg, 0.8),
+                                              rel=1e-9, abs=1e-9)
 
-    def test_slack_constraints_tight_at_mask(self):
-        # at full mask powers the largest admissible slacks are exactly zero:
-        # the upper-side constraints hold with equality and any positive
-        # slack breaks them, while the lower-side cancellation row reduces to
-        # the raw margin condition
-        cfg, ch = self._instance(seed=3, streaming=(0,))
-        canon = canonicalize(ch, cfg, e=0.5)
-        mask = cfg.p_mask
-        assert canon.q_minus_mask - canon._q_minus(mask) == pytest.approx(0.0, abs=1e-9)
-        assert canon.qt_minus_mask - canon._qt_minus(mask) == pytest.approx(0.0, abs=1e-9)
-        if canon.n_sic:
-            slack_cap = canon.sic_plus_mask - canon._sic_plus(mask)
-            assert np.allclose(slack_cap, 0.0, atol=1e-15)
-            # with that tight slack the lower-side row is the original margin
-            lifted = canon.lift(np.concatenate([mask.ravel(),
-                                                np.zeros(canon.dim - canon.n_p)]))
-            s3 = lifted[canon.n_p + 1 + int(canon.has_rate_slack):]
-            lower_ok = canon._sic_minus(mask) + s3 >= canon.sic_plus_mask - 1e-12
-            margin_ok = canon._sic_minus(mask) >= canon._sic_plus(mask) - 1e-12
-            assert np.array_equal(lower_ok, margin_ok)
-
-    def _feasible_point(self, canon, cfg, ch, rng):
-        """Random point of the normal set: one serving head per user, budget
-        respected, slacks at their tight values then randomly reduced."""
-        m, k, n = ch.gamma.shape
-        p = np.zeros((m, k, n))
-        heads = rng.integers(0, m, size=k)
-        for u in range(k):
-            p[heads[u], u, :] = rng.uniform(0, 1, n) * cfg.p_mask[heads[u], u, :]
-        scale = np.minimum(1.0, cfg.p_max / np.maximum(p.sum(axis=(1, 2)), 1e-300))
-        p *= scale[:, None, None]
-        y = canon.embed(p)
-        y[canon.n_p:] *= rng.uniform(0, 1, canon.dim - canon.n_p)
-        return y
-
-    def test_normal_set_downward_closed(self):
-        cfg, ch = self._instance(seed=4, streaming=(0,))
-        canon = canonicalize(ch, cfg, e=0.4)
+    def test_bound_sums_seated_entries_only(self):
+        # an off-seat entry is 0 over the whole box and adds no
+        # log2((sigma + I(b)) / (sigma + I(a))) term
+        cfg = make_config(m=2, k=3, n=2)
+        ch = make_channel(cfg, seed=4)
+        boxes = _Boxes(ch, cfg, 0.3)
         rng = np.random.default_rng(5)
-        found = 0
-        for _ in range(100):
-            y = self._feasible_point(canon, cfg, ch, rng)
-            if not canon.in_normal(y):
-                continue
-            found += 1
-            below = y * rng.uniform(0, 1, canon.dim)
-            assert canon.in_normal(below)
-        assert found > 10
+        for _ in range(20):
+            a, b, _ = _seated_box(cfg, rng)
+            seated = b > 0
+            floor_a = ch.sigma + model.interference(a, ch)
+            floor_b = ch.sigma + model.interference(b, ch)
+            terms = np.log2(floor_b + b * ch.gamma) - np.log2(floor_a)
+            expected = (np.sum(cfg.weights[:, :, None] * terms, where=seated)
+                        - 0.3 * model.total_power(PowerAllocation(p=a), cfg))
+            bound, _ = boxes.evaluate(a[None], b[None])
+            assert bound[0] == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
-    def test_conormal_set_upward_closed(self):
-        cfg, ch = self._instance(seed=6, streaming=(0,))
-        canon = canonicalize(ch, cfg, e=0.4)
-        rng = np.random.default_rng(7)
-        found = 0
-        for _ in range(300):
-            y = rng.uniform(0, 1, canon.dim) * canon.box
-            if not canon.in_conormal(y):
-                continue
-            found += 1
-            above = y + (canon.box - y) * rng.uniform(0, 1, canon.dim)
-            assert canon.in_conormal(above)
-        assert found > 10
-
-    def test_vertex_bound_dominates_feasible_objective(self):
-        cfg, ch = self._instance(seed=8)
-        canon = canonicalize(ch, cfg, e=0.7)
+    def test_bound_dominates_points_in_box(self):
+        # and pruning never drops a box holding a feasible point
+        cfg = make_config(m=2, k=3, n=2, streaming=(0,))
+        ch = make_channel(cfg, seed=8)
+        boxes = _Boxes(ch, cfg, 0.7)
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            p = rng.uniform(0, 1, ch.gamma.shape) * cfg.p_mask
-            y = canon.embed(p)
-            if not canon.in_normal(y):
-                continue
-            v = np.minimum(y * rng.uniform(1.0, 1.5, canon.dim), canon.box)
-            assert canon.vertex_bound(v) >= canon.objective(y) - 1e-9
+        kept = 0
+        for _ in range(200):
+            a, b, p = _seated_box(cfg, rng)
+            bound, alive = boxes.evaluate(a[None], b[None])
+            assert bound[0] >= _objective(p, ch, cfg, 0.7) - 1e-9
+            if model.check_feasibility(PowerAllocation(p=p), ch, cfg).ok:
+                assert alive[0]
+                kept += 1
+        assert kept > 10
+
+
+class TestBranchAndBound:
+    def test_single_entry_closes_gap(self):
+        # one user on one subcarrier: the optimum is the clamped stationary point
+        cfg = make_config(m=1, k=1, n=1)
+        ch = make_channel(cfg, seed=3)
+        e = 1.0
+        res = PolyblockSolver(max_iter=3000).solve_fixed_e(ch, cfg, e)
+        g, s = ch.gamma[0, 0, 0], ch.sigma[0, 0, 0]
+        p_star = np.clip(1.0 / (e * cfg.eta[0] * np.log(2.0)) - s / g, 0.0, cfg.p_mask[0, 0, 0])
+        best = _objective(np.full((1, 1, 1), p_star), ch, cfg, e)
+        assert res.status == "ok"
+        assert res.stats.iterations < 3000
+        assert res.stats.gap <= 1e-4 * max(abs(best), 1.0)
+        assert res.stats.upper_bound >= best - 1e-9
+        assert res.stats.true_objective == pytest.approx(best, rel=1e-4)
+
+    def test_bound_and_incumbent_monotone(self):
+        inst = _panel_instance(5)
+        bounds, values = [], []
+        for budget in (25, 50, 100, 200, 400):
+            res = PolyblockSolver(allow_high_dim=True, max_iter=budget).solve_fixed_e(
+                inst.ch, inst.cfg, inst.e)
+            bounds.append(res.stats.upper_bound)
+            values.append(res.stats.true_objective)
+        assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])), bounds
+        assert all(v2 >= v1 for v1, v2 in zip(values, values[1:])), values
+        assert bounds[-1] < bounds[0]
+
+    def test_deterministic(self):
+        inst = _panel_instance(6)
+        runs = [PolyblockSolver(allow_high_dim=True, max_iter=150).solve_fixed_e(
+            inst.ch, inst.cfg, inst.e) for _ in range(2)]
+        assert np.array_equal(runs[0].allocation.p, runs[1].allocation.p)
+        assert runs[0].stats.upper_bound == runs[1].stats.upper_bound
+
+    def test_finds_more_than_local_on_panel(self):
+        # the panel's (1, 3, 1) instance: scale stops at 22.039
+        inst = _panel_instance(2)
+        local = ScaleSolver().solve_fixed_e(inst.ch, inst.cfg, inst.e)
+        assert local.stats.true_objective == pytest.approx(22.039, abs=1e-3)
+        res = PolyblockSolver(allow_high_dim=True, max_iter=20_000).solve_fixed_e(
+            inst.ch, inst.cfg, inst.e, warm_start=local.allocation)
+        assert res.status == "ok"
+        assert model.check_feasibility(res.allocation, inst.ch, inst.cfg).ok
+        assert res.stats.true_objective > local.stats.true_objective + 0.1
+        assert res.stats.upper_bound >= res.stats.true_objective
+
+    def test_panel_gaps_at_400_boxes(self):
+        # relative certified gaps of the slack-coordinate polyblock oracle it
+        # replaced, at 400 iterations, on the seven panel instances scale solves
+        old_gaps = [0.54, 0.80, 1.10, 1.15, 3.94, 2.79, 4.94]
+        for index, old in zip(range(7), old_gaps):
+            inst = _panel_instance(index)
+            local = ScaleSolver().solve_fixed_e(inst.ch, inst.cfg, inst.e)
+            res = PolyblockSolver(allow_high_dim=True, max_iter=400).solve_fixed_e(
+                inst.ch, inst.cfg, inst.e, warm_start=local.allocation)
+            assert res.stats.gap / abs(res.stats.true_objective) < old, index
+
+    def test_no_feasible_point(self):
+        # a streaming minimum rate no subcarrier can carry prunes every root box
+        cfg = make_config(m=2, k=2, n=1, streaming=(0,), bandwidth=1e-3)
+        ch = make_channel(cfg, seed=12)
+        res = PolyblockSolver(max_iter=300).solve_fixed_e(ch, cfg, 0.0)
+        assert res.status == "infeasible"
+        assert res.stats.upper_bound == -np.inf
+        assert res.stats.iterations == 0
+
+    def test_seating_count_guard(self):
+        cfg = make_config(m=3, k=8, n=1)
+        ch = make_channel(cfg, seed=13)
+        with pytest.raises(DimensionGuardError, match="head assignments"):
+            PolyblockSolver(allow_high_dim=True).solve_fixed_e(ch, cfg, 0.1)
+
+
+class TestOracleProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bound_covers_grid_and_local(self, seed):
+        inst = tiny_instance(np.random.default_rng(seed))
+        local = ScaleSolver().solve_fixed_e(inst.ch, inst.cfg, inst.e)
+        res = PolyblockSolver(allow_high_dim=True, max_iter=200).solve_fixed_e(
+            inst.ch, inst.cfg, inst.e,
+            warm_start=local.allocation if local.status == "ok" else None)
+        levels = max(2, int(2e4 ** (1.0 / inst.ch.gamma.size)))
+        grid = grid_oracle(inst, levels=levels)
+        bound = res.stats.upper_bound
+
+        def slack(x):
+            return 1e-9 * max(1.0, abs(x))
+
+        assert bound >= grid - slack(grid)
+        if local.status == "ok":
+            assert bound >= local.stats.true_objective - slack(bound)
+        if res.status == "ok":
+            assert model.check_feasibility(res.allocation, inst.ch, inst.cfg).ok
+            assert bound >= res.stats.true_objective
+        else:
+            assert local.status != "ok"
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_infeasible_instance_reported(self, seed):
+        inst = tiny_instance(np.random.default_rng(seed), with_streaming=True,
+                             sizes=((1, 2), (2, 3), (1, 2)))
+        # a 1 mHz subcarrier asks ~10^8 bit/s/Hz of the streaming user
+        cfg = replace(inst.cfg, subcarrier_bandwidth=1e-3)
+        res = PolyblockSolver(allow_high_dim=True, max_iter=200).solve_fixed_e(
+            inst.ch, cfg, inst.e)
+        assert res.status == "infeasible"
+        assert res.stats.upper_bound == -np.inf
 
 
 class TestSolverFacade:

@@ -362,6 +362,17 @@ class TestInnerSolve:
                     - e * model.total_power(warm, cfg))
         assert ctx_val >= warm_val - 1e-9
 
+    def test_infeasible_warm_start_not_returned(self):
+        # a warm start over budget and short of the streaming rate must not
+        # come back as "ok" when the repair fails
+        cfg = make_config(m=1, k=2, n=1, streaming=(0,), bandwidth=1e-3)
+        ch = make_channel(cfg, seed=51)
+        p0 = greedy_init(cfg, ch)
+        warm = PowerAllocation(p=np.where(p0 > 1e-20, cfg.p_mask, p0))
+        assert not model.check_feasibility(warm, ch, cfg).ok
+        res = ScaleSolver().solve_fixed_e(ch, cfg, 0.0, warm_start=warm)
+        assert res.status == "infeasible"
+
 
 class TestExclusiveOutput:
     @settings(max_examples=20, deadline=None)
