@@ -44,6 +44,7 @@ _SCENARIO_KEYS = {
 }
 _TOLERANCE_KEYS = {"xi", "varpi1_rel", "varpi2_rel", "s_max", "v_max",
                    "outer_max", "rho1", "rho2"}
+_WHOLE_TOLERANCES = {"s_max", "v_max", "outer_max"}
 
 
 def _number(key: str, value) -> float | None:
@@ -53,6 +54,16 @@ def _number(key: str, value) -> float | None:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _whole(key: str, value) -> int | None:
+    """An integer key: any integral number, else a named ConfigError."""
+    if value is None or isinstance(value, int):
+        return value
+    number = _number(key, value)
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(number)
 
 
 def load_config(path: str | Path | None) -> tuple[NetworkConfig, Scenario]:
@@ -69,20 +80,20 @@ def load_config(path: str | Path | None) -> tuple[NetworkConfig, Scenario]:
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-    tol_raw = raw.get("tolerances") or {}
-    for key in tol_raw:
+    tol_raw = raw.get("tolerances")
+    if tol_raw is None:
+        tol_raw = {}
+    elif not isinstance(tol_raw, dict):
+        raise ConfigError(f"tolerances must be a mapping, got {tol_raw!r}")
+    tolerances = {}
+    for key, value in tol_raw.items():
         if key not in _TOLERANCE_KEYS:
             raise ConfigError(f"unknown tolerances key {key!r}")
+        convert = _whole if key in _WHOLE_TOLERANCES else _number
+        tolerances[key] = convert(f"tolerances.{key}", value)
 
     def whole(key: str, default):
-        """An integer key: any integral number, else a named ConfigError."""
-        value = raw.get(key, default)
-        if value is None or isinstance(value, int):
-            return value
-        number = _number(key, value)
-        if not number.is_integer():
-            raise ConfigError(f"{key} must be a whole number, got {value!r}")
-        return int(number)
+        return _whole(key, raw.get(key, default))
 
     scenario = Scenario(
         architecture=raw.get("architecture", "hcran"),
@@ -99,7 +110,7 @@ def load_config(path: str | Path | None) -> tuple[NetworkConfig, Scenario]:
         noise_dbm_hz=_number("noise_dbm_hz", raw.get("noise_dbm_hz", -174.0)),
         queue_packets=_number("queue_packets", raw.get("queue_packets", 25.0)),
         packet_bits=_number("packet_bits", raw.get("packet_bits", 1024.0)),
-        tolerances=Tolerances(**tol_raw),
+        tolerances=Tolerances(**tolerances),
         draws=whole("draws", 50),
         seed=whole("seed", 1),
         solver=raw.get("solver", "scale"),

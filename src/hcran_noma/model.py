@@ -18,6 +18,9 @@ The order depends on the channel gains alone, so ``ChannelState`` holds it:
 ``ch.stronger`` is the dense (M, K, K, N) mask and ``ch.pairs`` the user
 pairs oriented by it, each built once per channel on first use, with the
 pairs' gathers and constants; ``pair_margins`` is their one vectorised margin.
+The inner solver carries only the pairs its start seats (``scale.SeatedPairs``,
+gathered flat from these arrays); the checker, the repair and the oracle read
+every pair.
 """
 
 from __future__ import annotations

@@ -33,6 +33,14 @@ exactly along the trajectory and need no multipliers.  Desk-scale instances
 run several head assignments (all of them when there are few) and keep the
 best result.
 
+The seating also fixes which cancellation-order pairs can carry power: the
+pairs whose two members share a seated (m, n), at most C(l_max, 2) per
+(m, n) instead of K(K-1)/2.  Each start lists those pairs once
+(``_SolveContext.seat``, in ``ch.pairs`` order), and the linearization, the
+per-sweep analysis, the step sizes and the cancellation-order multipliers run
+over that list alone.  The repair and the feasibility check still read every
+pair.
+
 The printed closed-form updates this solver descends from show inconsistent
 index patterns in their pressure sums, so all terms here are derived directly
 from the stationarity conditions of the log-domain Lagrangian; the test suite
@@ -182,6 +190,27 @@ def dc_linearize(alloc_prev: PowerAllocation, ch: ChannelState,
 # dual state
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SeatedPairs:
+    """The cancellation-order pairs a start can power: the oriented pairs
+    (``ch.pairs``) whose two members the start seats on the pair's (m, n),
+    listed in ``ch.pairs`` (m, q, n) order, with their constants.  Every
+    field is (L,), one entry per pair; strong and weak are flat indices of
+    the members' entries into (M, K, N) arrays."""
+
+    strong: np.ndarray
+    weak: np.ndarray
+    g_s: np.ndarray      # each member's gain on its own head
+    g_w: np.ndarray
+    noise: np.ndarray    # noise part of the margin, g_w*s_s - g_s*s_w
+    scale: np.ndarray    # margin term scale at mask power (``pair_margins``)
+    mask_s: np.ndarray   # each member's spectral mask
+    mask_w: np.ndarray
+
+    def __len__(self) -> int:
+        return self.strong.size
+
+
 @dataclass
 class DualState:
     """Non-negative multipliers of the relaxed constraint families.
@@ -189,13 +218,14 @@ class DualState:
     xi      (M,)            per-RRH power budgets, solved to complementary
                             slackness by bisection in every sweep
     zeta    (K,)            streaming minimum rates (zero rows for elastic)
-    zeta_t  (M, P, N)       cancellation-order constraints, one per oriented
-                            channel pair on each (m, n)
+    zeta_t  (L,)            cancellation-order constraints, one per seated
+                            pair of ``pairs``
     """
 
     xi: np.ndarray
     zeta: np.ndarray
     zeta_t: np.ndarray
+    pairs: SeatedPairs
 
 
 @dataclass(frozen=True)
@@ -205,7 +235,7 @@ class StepRule:
     multiplier by an O(gain) fraction of its useful magnitude."""
 
     zeta_step: np.ndarray    # (K,)
-    sic_step: np.ndarray     # (M, P, N)
+    sic_step: np.ndarray     # (L,) one per seated pair
     zeta_cap: float
     sic_cap: float
 
@@ -219,7 +249,7 @@ class ConstraintSlacks:
     """Signed residuals (positive = violated) of the subgradient families."""
 
     rate: np.ndarray            # (K,) target minus surrogate rate, streaming rows
-    sic: np.ndarray             # (M, P, N) linearized margin residual
+    sic: np.ndarray             # (L,) linearized margin residual per seated pair
 
 
 def dual_update(duals: DualState, slacks: ConstraintSlacks, step: StepRule,
@@ -232,7 +262,7 @@ def dual_update(duals: DualState, slacks: ConstraintSlacks, step: StepRule,
     zeta = np.clip(duals.zeta + damp * step.zeta_step * slacks.rate, 0.0, step.zeta_cap)
     zeta_t = np.clip(duals.zeta_t + damp * step.sic_step * slacks.sic,
                      0.0, step.sic_cap)
-    return DualState(xi=duals.xi, zeta=zeta, zeta_t=zeta_t)
+    return DualState(xi=duals.xi, zeta=zeta, zeta_t=zeta_t, pairs=duals.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +310,25 @@ def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficie
     # (power-proportional) derivative of the kept convex part.
     num_sic = 0.0
     den_sic = 0.0
-    strong_idx, weak_idx = ch.pairs
     cross_lin = cross_interference(p_lin, ch)
-    for mm in range(m_count):
-        for q in range(strong_idx.shape[1]):
-            a = int(strong_idx[mm, q, n])
-            b = int(weak_idx[mm, q, n])
-            zt = float(duals.zeta_t[mm, q, n])
-            if zt == 0.0:
-                continue
-            g_a, g_b = ch.gamma[mm, a, n], ch.gamma[mm, b, n]
-            bracket = (g_b * ch.sigma[mm, a, n] - g_a * ch.sigma[mm, b, n]
-                       + g_b * cross[mm, a, n])
-            g_lin_val = g_a * p_lin[mm, a, n] * p_lin[mm, b, n] * cross_lin[mm, b, n]
-            if mm == m and k in (a, b):
-                den_sic += zt * p[m, b if k == a else a, n] * bracket
-                num_sic += zt * g_lin_val
-            elif mm != m:
-                den_sic += zt * p[mm, a, n] * p[mm, b, n] * g_b * ch.gamma[m, a, n]
-                num_sic += (zt * g_a * p_lin[mm, a, n] * p_lin[mm, b, n]
-                            * p_lin[m, k, n] * ch.gamma[m, b, n])
+    pairs = duals.pairs
+    for i in range(len(pairs)):
+        mm, a, nn = np.unravel_index(pairs.strong[i], p.shape)
+        b = np.unravel_index(pairs.weak[i], p.shape)[1]
+        zt = float(duals.zeta_t[i])
+        if nn != n or zt == 0.0:
+            continue
+        g_a, g_b = ch.gamma[mm, a, n], ch.gamma[mm, b, n]
+        bracket = (g_b * ch.sigma[mm, a, n] - g_a * ch.sigma[mm, b, n]
+                   + g_b * cross[mm, a, n])
+        g_lin_val = g_a * p_lin[mm, a, n] * p_lin[mm, b, n] * cross_lin[mm, b, n]
+        if mm == m and k in (a, b):
+            den_sic += zt * p[m, b if k == a else a, n] * bracket
+            num_sic += zt * g_lin_val
+        elif mm != m:
+            den_sic += zt * p[mm, a, n] * p[mm, b, n] * g_b * ch.gamma[m, a, n]
+            num_sic += (zt * g_a * p_lin[mm, a, n] * p_lin[mm, b, n]
+                        * p_lin[m, k, n] * ch.gamma[m, b, n])
     return psi_same, psi_cross, num_sic, den_sic
 
 
@@ -493,10 +522,14 @@ class ScaleSolver:
         """Approximation rounds over one seating.  The seating (entries above
         the floor) is held by an effective mask; the bound is re-tightened at
         each round's start, and a round whose sweeps lose surrogate value is
-        rejected, which also keeps the true objective nondecreasing."""
+        rejected, which also keeps the true objective nondecreasing.  Only
+        the pairs the seating holds can carry power, so the sweeps carry
+        those pairs alone."""
         cfg, ch = ctx.cfg, ctx.ch
         tol = cfg.tolerances
-        mask_eff = np.where(p0 > ctx.p_floor, cfg.p_mask, ctx.p_floor)
+        seating = p0 > ctx.p_floor
+        mask_eff = np.where(seating, cfg.p_mask, ctx.p_floor)
+        ctx.seat(seating)
         duals = ctx.fresh_duals()
         p = p0
         xi = np.zeros(cfg.n_rrh)
@@ -546,7 +579,9 @@ class ScaleSolver:
 
 class _SolveContext:
     """Everything fixed for one solve_fixed_e call, plus the vectorized
-    per-sweep analysis."""
+    per-sweep analysis.  The cancellation-order terms run over the pairs of
+    the current start's seating (``seat``); a new context seats every
+    entry."""
 
     def __init__(self, ch: ChannelState, cfg: NetworkConfig, e: float):
         self.ch = ch
@@ -562,50 +597,63 @@ class _SolveContext:
         self.p_floor = 1e-30 * cfg.max_mask
         self.weights = cfg.weights
 
-        self.strong_idx, self.weak_idx = ch.pairs
-        self.n_pairs = self.strong_idx.shape[1]
-        base = np.broadcast_to(np.arange(m_count)[:, None, None], self.strong_idx.shape)
-        subc = np.broadcast_to(np.arange(n_count)[None, None, :], self.strong_idx.shape)
-        self.flat_strong = ((base * k_count + self.strong_idx) * n_count + subc).ravel()
-        self.flat_weak = ((base * k_count + self.weak_idx) * n_count + subc).ravel()
-
-        self.g_s, self.g_w = ch.pair_gains
-        _, scale_at_mask = model.pair_margins(ch, cross_interference(cfg.p_mask, ch))
-        self.sic_scale = scale_at_mask + 1e-300
-        self.mask_s = ch.strong_side(cfg.p_mask)
-        self.mask_w = ch.weak_side(cfg.p_mask)
-
         # fixed scale (bits/s/Hz): keeps the multiplier trajectory independent
         # of the traffic targets except where the constraint actually binds
         self.rate_scale = 10.0
 
         # subgradient step calibration: relative slacks scaled into each
         # family's useful multiplier magnitude
-        p_ref = 0.5 * float(cfg.p_max.mean()) / (k_count * n_count)
-        den_scale = max(e * float(cfg.eta.max()), 1.0 / (LN2 * p_ref))
+        self.p_ref = 0.5 * float(cfg.p_max.mean()) / (k_count * n_count)
+        self.den_scale = max(e * float(cfg.eta.max()), 1.0 / (LN2 * self.p_ref))
+        # (M, P, N) margin scale of every oriented pair at mask power
+        _, scale_at_mask = model.pair_margins(ch, cross_interference(cfg.p_mask, ch))
+        self.sic_scale = scale_at_mask + 1e-300
+        self.seat(np.ones(self.shape, dtype=bool))
+
+    # -- state builders -----------------------------------------------------
+    def seat(self, seating: np.ndarray) -> None:
+        """Carry the pairs of one start: those whose two members ``seating``
+        (bool (M, K, N)) places on the pair's (m, n).  Sets ``pairs`` and the
+        ``step_rule`` over them."""
+        ch, cfg = self.ch, self.cfg
+        k_count, n_count = self.shape[1:]
+        strong_idx, weak_idx = ch.pairs
+        sel = np.flatnonzero(ch.strong_side(seating) & ch.weak_side(seating))
+        # flat (m, q, n) pair index -> flat (m, k, n) entry index of each member
+        base = sel // (strong_idx.shape[1] * n_count) * k_count
+        subc = sel % n_count
+        strong = (base + strong_idx.reshape(-1)[sel]) * n_count + subc
+        weak = (base + weak_idx.reshape(-1)[sel]) * n_count + subc
+        gamma, mask = ch.gamma.reshape(-1), cfg.p_mask.reshape(-1)
+        self.pairs = pairs = SeatedPairs(
+            strong=strong, weak=weak, g_s=gamma[strong], g_w=gamma[weak],
+            noise=ch.pair_noise[0].reshape(-1)[sel],
+            scale=self.sic_scale.reshape(-1)[sel],
+            mask_s=mask[strong], mask_w=mask[weak])
         cap = cfg.tolerances.dual_cap
         self.step_rule = StepRule(
             zeta_step=np.full(k_count, _RATE_GAIN / self.rate_scale),
-            sic_step=(_SIC_GAIN * den_scale
-                      / (p_ref * self.sic_scale**2 * self.mask_s * self.mask_w + 1e-300)),
+            sic_step=(_SIC_GAIN * self.den_scale
+                      / (self.p_ref * pairs.scale**2 * pairs.mask_s * pairs.mask_w
+                         + 1e-300)),
             zeta_cap=cap,
-            sic_cap=cap * den_scale / p_ref,
+            sic_cap=cap * self.den_scale / self.p_ref,
         )
 
-    # -- state builders -----------------------------------------------------
     def fresh_duals(self) -> DualState:
-        m_count, k_count, n_count = self.shape
+        m_count, k_count, _ = self.shape
         zeta = np.zeros(k_count)
         zeta[self.streaming] = 1.0  # unit rate pressure from the start
         return DualState(xi=np.zeros(m_count), zeta=zeta,
-                         zeta_t=np.zeros((m_count, self.n_pairs, n_count)))
+                         zeta_t=np.zeros(len(self.pairs)), pairs=self.pairs)
 
     def linearize(self, p_lin: np.ndarray) -> dict:
         """Tangent constants of the subtracted cross-product term for every
-        oriented pair, at the round's reference point."""
-        ch = self.ch
-        c_w = ch.weak_side(cross_interference(p_lin, ch))
-        gconst = self.g_s * ch.strong_side(p_lin) * ch.weak_side(p_lin)
+        seated pair, at the round's reference point."""
+        pairs = self.pairs
+        c_w = cross_interference(p_lin, self.ch).reshape(-1)[pairs.weak]
+        flat = p_lin.reshape(-1)
+        gconst = pairs.g_s * flat[pairs.strong] * flat[pairs.weak]
         return {"p_lin": p_lin, "log_p_lin": np.log(np.maximum(p_lin, _Z_FLOOR)),
                 "gconst": gconst, "g_val": gconst * c_w}
 
@@ -613,7 +661,6 @@ class _SolveContext:
     def analyze(self, p: np.ndarray, duals: DualState, coeffs: ScaleCoefficients,
                 lin: dict) -> _Snapshot:
         ch, cfg = self.ch, self.cfg
-        m_count, _, n_count = self.shape
         gamma = ch.gamma
 
         cross = cross_interference(p, ch)
@@ -635,30 +682,29 @@ class _SolveContext:
 
         num_sic = 0.0
         den_sic = 0.0
-        sic_slack = np.zeros((m_count, self.n_pairs, n_count))
-        if self.n_pairs:
+        pairs = self.pairs
+        fs, fw = pairs.strong, pairs.weak
+        sic_slack = np.zeros(len(pairs))
+        if len(pairs):
             zt = duals.zeta_t
-            p_s, p_w = ch.strong_side(p), ch.weak_side(p)
-            bracket = model.sic_bracket(ch, ch.strong_side(cross))
+            p_s, p_w = p.reshape(-1)[fs], p.reshape(-1)[fw]
+            # model.sic_bracket over the seated pairs
+            bracket = pairs.noise + pairs.g_w * cross.reshape(-1)[fs]
 
             if zt.any():
-                den_sic = (_scatter(self.flat_strong, (zt * p_w * bracket).ravel(),
-                                    self.shape)
-                           + _scatter(self.flat_weak, (zt * p_s * bracket).ravel(),
-                                      self.shape))
+                den_sic = (_scatter(fs, zt * p_w * bracket, self.shape)
+                           + _scatter(fw, zt * p_s * bracket, self.shape))
                 # cross denominators: aggregate zt*p_s*p_w*g_w by strong user,
                 # contract against the victim-side channels of other RRHs
-                d_agg = _scatter(self.flat_strong, (zt * p_s * p_w * self.g_w).ravel(),
-                                 self.shape)
+                d_agg = _scatter(fs, zt * p_s * p_w * pairs.g_w, self.shape)
                 d_tot = d_agg.sum(axis=0)
                 den_sic += (np.einsum("an,man->mn", d_tot, gamma)
                             - np.einsum("man,man->mn", d_agg, gamma))[:, None, :]
 
-                own_num = (zt * lin["g_val"]).ravel()
-                num_sic = (_scatter(self.flat_strong, own_num, self.shape)
-                           + _scatter(self.flat_weak, own_num, self.shape))
-                a_agg = _scatter(self.flat_weak, (zt * lin["gconst"]).ravel(),
-                                 self.shape)
+                own_num = zt * lin["g_val"]
+                num_sic = (_scatter(fs, own_num, self.shape)
+                           + _scatter(fw, own_num, self.shape))
+                a_agg = _scatter(fw, zt * lin["gconst"], self.shape)
                 a_tot = a_agg.sum(axis=0)
                 b_term = (np.einsum("bn,mbn->mn", a_tot, gamma)
                           - np.einsum("mbn,mbn->mn", a_agg, gamma))[:, None, :]
@@ -666,12 +712,12 @@ class _SolveContext:
 
             # linearized residual for the multiplier update
             dlog = np.log(np.maximum(p, _Z_FLOOR)) - lin["log_p_lin"]
-            dlog_s, dlog_w = ch.strong_side(dlog), ch.weak_side(dlog)
             f_term = (lin["p_lin"] * dlog).sum(axis=1)             # (M, N)
             h_full = np.einsum("jn,jbn->bn", f_term, gamma)
             h_cross = h_full[None, :, :] - f_term[:, None, :] * gamma
-            g_lin = (lin["g_val"] * (1.0 + dlog_s + dlog_w)
-                     + lin["gconst"] * ch.weak_side(h_cross))
+            dlog = dlog.reshape(-1)
+            g_lin = (lin["g_val"] * (1.0 + dlog[fs] + dlog[fw])
+                     + lin["gconst"] * h_cross.reshape(-1)[fw])
             sic_slack = p_s * p_w * bracket - g_lin
 
         num = c_rate / LN2 + num_sic
@@ -694,8 +740,8 @@ class _SolveContext:
         max_violation = max(
             float(np.max(budget / cfg.p_max, initial=-np.inf)),
             float(np.max(rate, initial=-np.inf)),
-            (float(np.max(sic_slack / (self.sic_scale * self.mask_s * self.mask_w)))
-             if self.n_pairs else -np.inf),
+            float(np.max(sic_slack / (pairs.scale * pairs.mask_s * pairs.mask_w),
+                         initial=-np.inf)),
         )
         slacks = ConstraintSlacks(rate=rate, sic=sic_slack)
         return _Snapshot(num=num, den=den, slacks=slacks, objective=objective,
@@ -778,11 +824,10 @@ class _SolveContext:
         mask of cells zeroed."""
         cfg, ch = self.cfg, self.ch
         removed = np.zeros_like(q, dtype=bool)
-        weak_elastic = self.elastic[self.weak_idx]
-        strong_elastic = self.elastic[self.strong_idx]
+        strong_idx, weak_idx = ch.pairs
         # drop the weak side unless only the strong side is elastic
-        drop_idx = np.where(~weak_elastic & strong_elastic,
-                            self.strong_idx, self.weak_idx)
+        drop_idx = np.where(~self.elastic[weak_idx] & self.elastic[strong_idx],
+                            strong_idx, weak_idx)
         for _ in range(cfg.n_users + 1):
             omega, _ = model.pair_margins(ch, cross_interference(q, ch))
             bad = (ch.strong_side(q) > 0) & (ch.weak_side(q) > 0) & (

@@ -301,26 +301,36 @@ class TestCriterion8ParallelContract:
         sc = Scenario(architecture="hcran", sweep="none", values=(12,),
                       k_total=12, k_streaming=6, n_subcarriers=32,
                       draws=BASELINE_DRAWS, seed=77, workers=1)
-        t0 = time.perf_counter()
-        serial_rows = run_sweep(sc)
-        serial = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        par_rows = run_sweep(replace(sc, workers=4))
-        par = time.perf_counter() - t0
-        assert serial_rows[0].mean_ee == par_rows[0].mean_ee  # same numbers
+        # serial and pooled sweeps alternate (s, p, p, s) with the host
+        # calibration in the middle, so a drift in host speed during the
+        # test weighs on both sides and on the ceiling alike
+        walls = {1: [], 4: []}
+        ees = set()
+
+        def timed(workers):
+            t0 = time.perf_counter()
+            rows = run_sweep(replace(sc, workers=workers))
+            walls[workers].append(time.perf_counter() - t0)
+            ees.add(rows[0].mean_ee)
+
+        timed(1)
+        timed(4)
+        # The target presumes the reference 4-core desktop.  Measure what
+        # this host can sustain at all, with a pure-compute two-process burn
+        # that is independent of the artifact: if the box itself cannot
+        # reach the bar, report that instead of a false defect.
+        ceiling = _host_parallel_ceiling()
+        timed(4)
+        timed(1)
+        assert len(ees) == 1  # same numbers
+        serial, par = float(np.median(walls[1])), float(np.median(walls[4]))
         speedup = serial / par
-        if speedup < 1.5:
-            # The target presumes the reference 4-core desktop.  Measure what
-            # this host can sustain at all, with a pure-compute two-process
-            # burn that is independent of the artifact: if the box itself
-            # cannot reach the bar, report that instead of a false defect.
-            ceiling = _host_parallel_ceiling()
-            if ceiling < 1.6:
-                pytest.xfail(
-                    f"host sustains only {ceiling:.2f}x two-process compute "
-                    f"scaling (pure-python calibration); the 1.5x criterion "
-                    f"presumes a 4-core desktop. Measured sweep speedup "
-                    f"{speedup:.2f}x ({serial:.1f}s -> {par:.1f}s)")
+        if speedup < 1.5 and ceiling < 1.6:
+            pytest.xfail(
+                f"host sustains only {ceiling:.2f}x two-process compute "
+                f"scaling (pure-python calibration); the 1.5x criterion "
+                f"presumes a 4-core desktop. Measured sweep speedup "
+                f"{speedup:.2f}x ({serial:.1f}s -> {par:.1f}s)")
         assert speedup >= 1.5, f"speedup {speedup:.2f}"
         _report("criterion 8b (end-to-end speedup)",
                 f"sweep with 4 workers {speedup:.2f}x faster than serial "

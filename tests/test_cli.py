@@ -76,6 +76,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=key):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("text, key", [
+        ("tolerances:\n  xi: abc\n", "xi"),
+        ("tolerances:\n  v_max: 2.5\n", "v_max"),
+        ("tolerances:\n  s_max: lots\n", "s_max"),
+        ("tolerances: 5\n", "tolerances"),
+    ])
+    def test_bad_tolerances_named(self, tmp_path, text, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            cli.load_config(path)
+
+    def test_whole_tolerances_converted(self, tmp_path):
+        path = tmp_path / "tol.yaml"
+        path.write_text("tolerances:\n  s_max: 4.0\n  xi: '0.5'\n  rho1: null\n")
+        cfg, _ = cli.load_config(path)
+        assert cfg.tolerances.s_max == 4 and isinstance(cfg.tolerances.s_max, int)
+        assert cfg.tolerances.xi == 0.5 and cfg.tolerances.rho1 is None
+
 
 def _write_small_config(tmp_path):
     path = tmp_path / "small.yaml"

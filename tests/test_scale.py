@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hcran_noma import model, scale
 from hcran_noma.model import ChannelState, PowerAllocation
+from hcran_noma.scenarios import build_config, gen_channel
 from hcran_noma.scale import (ScaleSolver, SweepState,
                               approx_rate, approx_rate_array, coeffs_at,
                               dc_linearize, dual_update, elastic_power_update,
@@ -170,6 +172,66 @@ class TestSweepAgainstScalarReference:
                            (cfg.p_mask[m, k, n] if den <= 0 else
                             min(max(num / den, 0.0), cfg.p_mask[m, k, n])))
                     assert got == pytest.approx(expected, rel=1e-9, abs=1e-18), (m, k, n)
+
+
+class TestSeatedPairs:
+    def test_sweep_carries_only_seated_pairs(self, monkeypatch):
+        # a start seats at most l_max users per (m, n), so at most
+        # C(l_max, 2) pairs per (m, n) can carry power, against K(K-1)/2
+        cfg = build_config("hcran", k_total=24, k_streaming=6,
+                           rng=np.random.default_rng(1), m_f=2, n_subcarriers=64)
+        ch = gen_channel(cfg, 1)
+        sizes = []
+
+        def counting(duals, *args, **kwargs):
+            sizes.append(duals.zeta_t.size)
+            return dual_update(duals, *args, **kwargs)
+
+        monkeypatch.setattr(scale, "dual_update", counting)
+        ScaleSolver().solve_fixed_e(ch, cfg, e=0.0)
+        bound = cfg.n_rrh * cfg.n_subcarriers * math.comb(cfg.l_max, 2)
+        assert sizes and 0 < max(sizes) <= bound, (max(sizes), bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 3), k=st.integers(2, 5), n=st.integers(1, 3),
+           l_max=st.integers(1, 3), n_streaming=st.integers(0, 2),
+           seed=st.integers(0, 2**16))
+    def test_seated_list_matches_full_pair_set(self, m, k, n, l_max,
+                                               n_streaming, seed):
+        # with zeta_t zero off the seated pairs, the full pair set and the
+        # seated list give the same sweep, bit for bit
+        cfg = make_config(m=m, k=k, n=n, l_max=l_max,
+                          streaming=tuple(range(n_streaming)))
+        ch = make_channel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        heads = rng.integers(0, m, size=k)
+        full = _SolveContext(ch, cfg, e=rng.uniform(0.0, 2.0))
+        seating = greedy_init(cfg, ch, heads) > full.p_floor
+        seated = _SolveContext(ch, cfg, e=full.e)
+        seated.seat(seating)
+        sel = np.flatnonzero(ch.strong_side(seating) & ch.weak_side(seating))
+        assert np.array_equal(full.pairs.strong[sel], seated.pairs.strong)
+        assert np.array_equal(full.pairs.weak[sel], seated.pairs.weak)
+
+        def iterate():
+            return np.where(seating, rng.uniform(1e-4, 1.0, seating.shape) * cfg.p_mask,
+                            full.p_floor)
+
+        p, p_lin = iterate(), iterate()
+        coeffs = coeffs_at(p_lin, ch)
+        d_seated = seated.fresh_duals()
+        d_seated.xi = rng.uniform(0, 5.0, m)
+        d_seated.zeta = np.where(cfg.elastic_mask(), 0.0, rng.uniform(0.5, 2.0, k))
+        d_seated.zeta_t = rng.uniform(0, 1e4, len(seated.pairs))
+        d_full = full.fresh_duals()
+        d_full.xi, d_full.zeta = d_seated.xi, d_seated.zeta
+        d_full.zeta_t[sel] = d_seated.zeta_t
+
+        a = full.analyze(p, d_full, coeffs, full.linearize(p_lin))
+        b = seated.analyze(p, d_seated, coeffs, seated.linearize(p_lin))
+        assert np.array_equal(a.num, b.num)
+        assert np.array_equal(a.den, b.den)
+        assert a.objective == b.objective
 
 
 class TestPowerUpdates:
