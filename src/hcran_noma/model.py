@@ -25,6 +25,7 @@ every pair.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -354,6 +355,35 @@ def per_user_rate(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig) 
     """(K,) weighted total rate of each user across RRHs and subcarriers."""
     rates = rate_array(alloc.p, ch)
     return np.einsum("mk,mkn->k", cfg.weights, rates)
+
+
+def user_rate_curve(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
+                    k: int) -> Callable[[float], float]:
+    """User k's weighted total rate as a function of a scale s on its own
+    powers: rate(s) equals ``per_user_rate`` of p with p[:, k, :] scaled by s,
+    every other power held.
+
+    The interference at k from the other users is summed once, with k's
+    column removed; what s moves is k's signal and, for a user on several
+    heads, its own signal received from the other heads.  Each evaluation is
+    then O(M*N)."""
+    g = ch.gamma[:, k, :]
+    own = p[:, k, :] * g                       # (M, N) k's signal from each head
+    others = p.copy()
+    others[:, k, :] = 0.0
+    totals = others.sum(axis=1)                # (M, N)
+    same = np.einsum("min,min->mn", ch.stronger[:, :, k, :], others)
+    cross = (totals * g).sum(axis=0)[None, :] - totals * g
+    floor = ch.sigma[:, k, :] + g * same + cross
+    # summed over the other heads, not as a total minus own: no cancellation
+    other_heads = ~np.eye(own.shape[0], dtype=bool)[:, :, None]
+    self_cross = np.where(other_heads, own[None, :, :], 0.0).sum(axis=1)
+    w = cfg.weights[:, k]
+
+    def rate(s: float) -> float:
+        return float(w @ np.log2(1.0 + s * own / (floor + s * self_cross)).sum(axis=1))
+
+    return rate
 
 
 def weighted_sum_rate(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig) -> float:

@@ -17,13 +17,14 @@ conditions.  The machinery:
 
 Every sweep is Jacobi style: power and multiplier updates read one frozen
 snapshot per iteration.  The per-RRH budget multipliers are solved to
-complementary slackness by bisection inside each sweep (the deep
-interference-limited regime makes the plain fixed-point iteration
-scale-degenerate otherwise); the rate and cancellation-order multipliers
-follow projected subgradients.  Rounds re-tighten the rate bound (and the
-linearization) at the current point; a round that fails to improve the
-surrogate objective is rejected, which makes both the recorded round
-objectives and the true objective nondecreasing across rounds.
+complementary slackness inside each sweep, by a safeguarded Newton solve
+warm-started from the previous sweep (the deep interference-limited regime
+makes the plain fixed-point iteration scale-degenerate otherwise); the rate
+and cancellation-order multipliers follow projected subgradients.  Rounds
+re-tighten the rate bound (and the linearization) at the current point; a
+round that fails to improve the surrogate objective is rejected, which makes
+both the recorded round objectives and the true objective nondecreasing
+across rounds.
 
 Every solve runs over exclusive seatings: each user on one head, at most
 l_max users per subcarrier, seated entries at budget-scaled mask power (see
@@ -74,8 +75,10 @@ _MIN_SWEEPS = 8
 # and the peak-gain assignments
 _MULTISTART_CELLS = 16
 _MULTISTART_ASSIGNMENTS = 8
-# bisection steps of the per-head budget multiplier in every sweep
-_BUDGET_BISECTIONS = 42
+# relative precision of the per-head budget multiplier solved in every sweep
+# (that of a 42-step bisection), and the cap on its power-sum evaluations
+_BUDGET_RTOL = 2.0**-42
+_BUDGET_MAX_EVALS = 100
 # the streaming trim leaves each user this much (bits/s/Hz) above its minimum
 # rate, in at most this many passes over the streaming users
 _TRIM_MARGIN = 0.05
@@ -216,7 +219,7 @@ class DualState:
     """Non-negative multipliers of the relaxed constraint families.
 
     xi      (M,)            per-RRH power budgets, solved to complementary
-                            slackness by bisection in every sweep
+                            slackness in every sweep (``_budget_dual``)
     zeta    (K,)            streaming minimum rates (zero rows for elastic)
     zeta_t  (L,)            cancellation-order constraints, one per seated
                             pair of ``pairs``
@@ -372,6 +375,28 @@ def streaming_power_update(state: SweepState, duals: DualState, coeffs: ScaleCoe
 # ---------------------------------------------------------------------------
 
 @dataclass
+class PhaseTimes:
+    """Seconds (perf_counter) one solve_fixed_e call spends in each phase."""
+
+    setup: float = 0.0        # context, starts and the warm-start check
+    rounds: float = 0.0       # bound and linearization refresh, round tests
+    analyze: float = 0.0      # per-sweep analysis (``_SolveContext.analyze``)
+    budget: float = 0.0       # budget multipliers (``_budget_dual``)
+    sweep: float = 0.0        # closed-form power update and its step test
+    dual_update: float = 0.0  # rate and cancellation-order multipliers
+    repair_sic: float = 0.0   # cancellation-order repair and budget rescale
+    trim: float = 0.0         # streaming trim and the final rate test
+    boost: float = 0.0        # streaming boost
+    check: float = 0.0        # check_feasibility and the returned objective
+
+    def lap(self, phase: str, since: float) -> float:
+        """Charge the time since ``since`` to ``phase``; returns now."""
+        now = time.perf_counter()
+        setattr(self, phase, getattr(self, phase) + now - since)
+        return now
+
+
+@dataclass
 class SolveStats:
     status: str = "ok"
     rounds: int = 0
@@ -383,6 +408,9 @@ class SolveStats:
     infeasible_reason: str | None = None
     wall_time: float = 0.0
     trace: list = field(default_factory=list)  # (s, v, objective, max_violation, step_norm)
+    # head solves of the budget multiplier that found no xi within the budget
+    budget_unbracketed: int = 0
+    phases: PhaseTimes = field(default_factory=PhaseTimes)
 
 
 @dataclass
@@ -408,37 +436,71 @@ def _closed_form(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
     return np.maximum(np.clip(raw, 0.0, mask), floor)
 
 
+def _budget_power_sum(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
+                      xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head power S(xi) = sum_kn of the closed-form powers at budget
+    multipliers xi (as ``_closed_form`` without its floor) and dS/dxi, the
+    right derivative: -sum of num/(den_rest + xi)**2 over the entries with
+    num > 0 that sit at or below their mask."""
+    d = den_rest + xi[:, None, None]
+    pos = d > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = num / d     # read only where d > 0
+        slope = raw / d
+    p = np.where(num <= 0, 0.0, np.where(pos, np.minimum(raw, mask), mask))
+    free = pos & (num > 0) & (raw <= mask)
+    return p.sum(axis=(1, 2)), -np.where(free, slope, 0.0).sum(axis=(1, 2))
+
+
 def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
-                 budget: np.ndarray, warm: np.ndarray | None = None) -> np.ndarray:
+                 budget: np.ndarray, warm: np.ndarray | None = None,
+                 stats: "SolveStats | None" = None) -> np.ndarray:
     """Per-RRH budget multipliers solved to complementary slackness: the
-    smallest xi >= 0 with sum_kn clip(num/(den_rest + xi), 0, mask) <= budget.
-    The per-entry power is nonincreasing in xi, so plain bisection works;
-    warm (the previous sweep's solution) tightens the initial bracket."""
+    smallest xi >= 0 with S(xi) = sum_kn clip(num/(den_rest + xi), 0, mask)
+    <= budget, to relative precision _BUDGET_RTOL, from the feasible side.
 
-    def sums(xi: np.ndarray) -> np.ndarray:
-        d = den_rest + xi[:, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(d > 0, num / np.where(d > 0, d, 1.0), mask)
-        p = np.where(num <= 0, 0.0, np.clip(p, 0.0, mask))
-        return p.sum(axis=(1, 2))
+    S is continuous and nonincreasing, and convex between the points where an
+    entry leaves its mask, so a safeguarded Newton solve runs on every head
+    at once from warm (the previous sweep's solution, else 0).  Each step
+    keeps a bracket [lo, hi] of evaluated points over and within the budget.
+    A Newton target outside it, or (once bracketed) one that does not at
+    least halve the previous step, is replaced by growth while no point
+    within the budget is known, else by bisection, which first tries xi = 0
+    while no point over the budget is known.  Targets are nudged by a
+    quarter of the tolerance toward the far side of the root, so the last
+    two steps close the bracket from both sides.
 
+    A head that already fits at xi = 0 returns 0.  A head that ends the
+    _BUDGET_MAX_EVALS evaluations with no point within its budget returns
+    its largest evaluated xi and is counted in ``stats.budget_unbracketed``."""
     m_count = den_rest.shape[0]
-    lo = np.zeros(m_count)
-    over0 = sums(lo) > budget
-    if not over0.any():
-        return lo
-    hi = np.ones(m_count) if warm is None else np.maximum(4.0 * warm, 1e-6)
-    for _ in range(80):
-        over = sums(hi) > budget
-        if not over.any():
-            break
-        hi[over] *= 8.0
-    for _ in range(_BUDGET_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        over = sums(mid) > budget
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
-    return np.where(over0, hi, 0.0)  # the feasible side; slack rows stay at 0
+    x = np.zeros(m_count) if warm is None else np.maximum(warm, 0.0)
+    lo = np.full(m_count, -np.inf)   # largest xi seen over the budget
+    hi = np.full(m_count, np.inf)    # smallest xi seen within it
+    step = np.full(m_count, np.inf)
+    nudge = 0.25 * _BUDGET_RTOL
+    for _ in range(_BUDGET_MAX_EVALS):
+        s, ds = _budget_power_sum(num, den_rest, mask, x)
+        over = s > budget
+        lo = np.where(over, np.maximum(lo, x), lo)
+        hi = np.where(over, hi, np.minimum(hi, x))
+        floor = np.maximum(lo, 0.0)
+        done = floor >= (1.0 - _BUDGET_RTOL) * hi  # false while hi = inf
+        if done.all():
+            return hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            target = (x - (s - budget) / ds) * np.where(over, 1.0 + nudge, 1.0 - nudge)
+        newton = (target > floor) & (target < hi) & (
+            np.isinf(hi) | (np.abs(target - x) <= 0.5 * step))
+        fallback = np.where(np.isinf(hi), np.maximum(8.0 * lo, 1.0),
+                            np.where(lo < 0, 0.0, 0.5 * (lo + hi)))
+        x_next = np.where(done, hi, np.where(newton, target, fallback))
+        step = np.abs(x_next - x)
+        x = x_next
+    unbracketed = np.isinf(hi)
+    if stats is not None:
+        stats.budget_unbracketed += int(unbracketed.sum())
+    return np.where(unbracketed, lo, hi)
 
 
 @dataclass
@@ -462,6 +524,7 @@ class ScaleSolver:
                       warm_start: PowerAllocation | None = None) -> InnerResult:
         t0 = time.perf_counter()
         stats = SolveStats()
+        times = stats.phases
         ctx = _SolveContext(ch, cfg, e)
 
         if warm_start is not None:
@@ -481,11 +544,14 @@ class ScaleSolver:
             starts = [greedy_init(cfg, ch, heads) for heads in assignments]
         else:
             starts = [greedy_init(cfg, ch)]
+        times.lap("setup", t0)
 
         best_p, best_val, best_objs, best_res = None, -np.inf, [], float("nan")
         for p0 in starts:
             p_end, round_objs, residual = self._run_rounds(ctx, p0, stats)
+            t = time.perf_counter()
             val = ctx.true_objective(p_end)
+            times.lap("rounds", t)
             if val > best_val:
                 best_p, best_val, best_objs, best_res = p_end, val, round_objs, residual
         p = best_p
@@ -493,7 +559,8 @@ class ScaleSolver:
         stats.rounds = len(best_objs)
         stats.fixed_point_residual = best_res
 
-        repaired, feasible = ctx.repair(p)
+        repaired, feasible = ctx.repair(p, times)
+        t = time.perf_counter()
         alloc = PowerAllocation(p=repaired)
         if feasible:
             feasible = model.check_feasibility(alloc, ch, cfg, ctx.min_rates).ok
@@ -509,11 +576,13 @@ class ScaleSolver:
             stats.status = "infeasible"
             stats.infeasible_reason = (stats.infeasible_reason
                                        or "repair could not meet the streaming rates")
+            times.lap("check", t)
             stats.wall_time = time.perf_counter() - t0
             return InnerResult(alloc, "infeasible", stats)
 
         alloc.rho, alloc.a = model.derive_binaries(alloc, cfg)
         stats.true_objective = ctx.true_objective(alloc.p)
+        times.lap("check", t)
         stats.wall_time = time.perf_counter() - t0
         return InnerResult(alloc, "ok", stats)
 
@@ -527,6 +596,8 @@ class ScaleSolver:
         those pairs alone."""
         cfg, ch = ctx.cfg, ctx.ch
         tol = cfg.tolerances
+        times = stats.phases
+        t = time.perf_counter()
         seating = p0 > ctx.p_floor
         mask_eff = np.where(seating, cfg.p_mask, ctx.p_floor)
         ctx.seat(seating)
@@ -536,18 +607,24 @@ class ScaleSolver:
         eps1 = tol.varpi1_rel * cfg.p_max
         eps2 = tol.varpi2_rel * cfg.p_max
         round_objs: list[float] = []
+        t = times.lap("setup", t)
 
         for s in range(tol.s_max):
             coeffs = coeffs_at(p, ch)
             lin = ctx.linearize(p)
             p_round = p
+            t = times.lap("rounds", t)
             for v in range(1, tol.v_max + 1):
                 snap = ctx.analyze(p, duals, coeffs, lin)
-                xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi)
+                t = times.lap("analyze", t)
+                xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi, stats)
+                t = times.lap("budget", t)
                 p_next = ctx.sweep(snap, xi, mask_eff)
+                delta = np.abs(p_next - p).max(axis=(1, 2))
+                t = times.lap("sweep", t)
                 duals = dual_update(duals, snap.slacks, ctx.step_rule, v)
                 duals.xi = xi
-                delta = np.abs(p_next - p).max(axis=(1, 2))
+                t = times.lap("dual_update", t)
                 if self.collect_trace:
                     stats.trace.append((s, v, snap.objective, snap.max_violation,
                                         float((delta / cfg.p_max).max())))
@@ -567,13 +644,17 @@ class ScaleSolver:
                 break
             if s > 0 and np.all(np.abs(p - p_round).max(axis=(1, 2)) < eps2):
                 break
+        t = times.lap("rounds", t)
 
         # fixed-point spot check: one more closed-form evaluation at the end
         # point with the final multipliers must reproduce it
         snap = ctx.analyze(p, duals, coeffs, ctx.linearize(p))
-        xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi)
+        t = times.lap("analyze", t)
+        xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi, stats)
+        t = times.lap("budget", t)
         p_check = ctx.sweep(snap, xi, mask_eff)
         residual = float((np.abs(p_check - p).max(axis=(1, 2)) / cfg.p_max).max())
+        times.lap("sweep", t)
         return p, round_objs, residual
 
 
@@ -722,7 +803,7 @@ class _SolveContext:
 
         num = c_rate / LN2 + num_sic
         # denominator without the budget multiplier: the sweep solves that
-        # multiplier exactly (bisection to complementary slackness), which
+        # multiplier exactly (to complementary slackness), which
         # pins the iterate's scale; every other family stays on subgradients
         den = ((self.e * cfg.eta)[:, None, None] * self.elastic[None, :, None]
                + psi_same + psi_cross + den_sic)
@@ -781,7 +862,7 @@ class _SolveContext:
         return bool(np.any(at_cap & short))
 
     # -- repair -----------------------------------------------------------------
-    def repair(self, p: np.ndarray) -> tuple[np.ndarray, bool]:
+    def repair(self, p: np.ndarray, times: PhaseTimes) -> tuple[np.ndarray, bool]:
         """Project the converged iterate onto the hard constraint set: drop
         sub-threshold powers, restore the cancellation order, rescale to the
         budgets, then lift streaming users back to their minimum rates.  The
@@ -789,6 +870,7 @@ class _SolveContext:
         unseated entry sits at the log floor), so one head per user and the
         per-subcarrier user limit already hold."""
         cfg, ch = self.cfg, self.ch
+        t = time.perf_counter()
         q = p.copy()
         q[q <= cfg.binarization_threshold] = 0.0
 
@@ -796,6 +878,7 @@ class _SolveContext:
         scale = np.minimum(1.0, cfg.p_max / np.maximum(q.sum(axis=(1, 2)), 1e-300))
         q *= scale[:, None, None]
         self._repair_sic(q)
+        t = times.lap("repair_sic", t)
 
         ok = True
         if self.streaming:
@@ -805,8 +888,11 @@ class _SolveContext:
                 # only cost is interference and budget: shave any service
                 # excess first so one lifted user cannot starve the next
                 _trim_streaming(q, ch, cfg, self.min_rates)
+                t = times.lap("trim", t)
                 q, ok = _boost_streaming(q, ch, cfg, self.min_rates, banned)
+                t = times.lap("boost", t)
                 removed = self._repair_sic(q)
+                t = times.lap("repair_sic", t)
                 banned |= removed
                 if ok and not removed.any():
                     break
@@ -815,6 +901,7 @@ class _SolveContext:
             ok = bool(np.all(rates[self.streaming]
                              >= self.min_rates[self.streaming]
                              - cfg.tolerances.c13_rate_tol))
+            times.lap("trim", t)
         return q, ok
 
     def _repair_sic(self, q: np.ndarray) -> np.ndarray:
@@ -895,27 +982,26 @@ def _trim_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
                     min_rates: np.ndarray) -> None:
     """Scale each streaming user's powers down until its rate sits just above
     its minimum.  Trimming only removes interference, so every other user's
-    rate can only rise; the bisection controls the trimmed user's own rate."""
+    rate can only rise; the bisection controls the trimmed user's own rate,
+    through ``model.user_rate_curve`` since nothing else moves."""
     streaming = cfg.streaming_users()
     for _ in range(_TRIM_PASSES):
         trimmed = False
         for k in streaming:
-            base = p[:, k, :].copy()
-            if base.max() <= 0:
+            if p[:, k, :].max() <= 0:
                 continue
-            rate = float(model.per_user_rate(PowerAllocation(p=p), ch, cfg)[k])
+            rate_at = model.user_rate_curve(p, ch, cfg, k)
             target = min_rates[k] + _TRIM_MARGIN
-            if rate <= target:
+            if rate_at(1.0) <= target:
                 continue
             lo, hi = 0.0, 1.0
             for _ in range(30):
                 mid = 0.5 * (lo + hi)
-                p[:, k, :] = mid * base
-                if model.per_user_rate(PowerAllocation(p=p), ch, cfg)[k] >= target:
+                if rate_at(mid) >= target:
                     hi = mid
                 else:
                     lo = mid
-            p[:, k, :] = hi * base
+            p[:, k, :] *= hi
             trimmed = True
         if not trimmed:
             break
@@ -963,7 +1049,7 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
                 continue
             p[m, k, n] += delta
             progressed = True
-            rate_k = float(model.per_user_rate(PowerAllocation(p=p), ch, cfg)[k])
+            rate_k = model.user_rate_curve(p, ch, cfg, k)(1.0)
             if rate_k >= min_rates[k] - tol * 0.5:
                 break
         return progressed
@@ -977,13 +1063,13 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
             return p, True
         any_progress = False
         for k in sorted(deficient, key=lambda k: -deficits[k]):
-            rate0 = float(model.per_user_rate(PowerAllocation(p=p), ch, cfg)[k])
+            rate0 = model.user_rate_curve(p, ch, cfg, k)(1.0)
             totals = p.sum(axis=2)
             m = (int(np.argmax(totals[:, k])) if totals[:, k].max() > 0
                  else int(np.argmax(scores[:, k])))
             tried[k].add(m)
             fill(k, m)
-            rate1 = float(model.per_user_rate(PowerAllocation(p=p), ch, cfg)[k])
+            rate1 = model.user_rate_curve(p, ch, cfg, k)(1.0)
             if rate1 >= min_rates[k] - tol * 0.5 or rate1 > rate0 + min_gain:
                 any_progress = True
                 continue
@@ -995,7 +1081,7 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
                 p[:, k, :] = 0.0
                 tried[k].add(int(others[0]))
                 fill(k, int(others[0]))
-                rate2 = float(model.per_user_rate(PowerAllocation(p=p), ch, cfg)[k])
+                rate2 = model.user_rate_curve(p, ch, cfg, k)(1.0)
                 if rate2 >= min_rates[k] - tol * 0.5 or rate2 > rate0 + min_gain:
                     any_progress = True
         if not any_progress:

@@ -122,6 +122,48 @@ class TestRates:
         assert weighted_sum_rate(alloc, ch, cfg) == pytest.approx(1.0)
 
 
+class TestUserRateCurve:
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 3), k=st.integers(1, 5), n=st.integers(1, 3),
+           two_heads=st.booleans(), n_off=st.integers(0, 2),
+           s=st.sampled_from([0.0, 1e-6, 0.3, 1.0, 2.5]),
+           seed=st.integers(0, 2**16))
+    def test_matches_per_user_rate(self, m, k, n, two_heads, n_off, s, seed):
+        # an exclusive seating (one head per user), optionally with user 0 on
+        # two heads and the last n_off users without power
+        rng = np.random.default_rng(seed)
+        cfg = make_config(m=m, k=k, n=n,
+                          weights=rng.uniform(0.2, 1.0, (m, k)))
+        ch = make_channel(cfg, seed=seed)
+        heads = rng.integers(0, m, size=k)
+        p = np.zeros((m, k, n))
+        p[heads, np.arange(k), :] = (rng.uniform(0.01, 1.0, (k, n))
+                                     * (rng.random((k, n)) < 0.7))
+        if two_heads and m > 1:
+            p[(heads[0] + 1) % m, 0, :] = rng.uniform(0.01, 1.0, n)
+        if n_off:
+            p[:, -n_off:, :] = 0.0
+        for user in range(k):
+            scaled = p.copy()
+            scaled[:, user, :] *= s
+            got = model.user_rate_curve(p, ch, cfg, user)(s)
+            oracle = sum(
+                cfg.weights[mm, user] * np.log2(1.0 + manual_sinr(
+                    scaled, ch.gamma, ch.sigma, mm, user, nn))
+                for mm in range(m) for nn in range(n))
+            assert got == pytest.approx(oracle, rel=1e-12), (user, got, oracle)
+            # per_user_rate takes the cross interference as a total minus the
+            # own head's part, which rounds to a few ulps of the total
+            # received power
+            expected = model.per_user_rate(PowerAllocation(p=scaled), ch, cfg)[user]
+            received = (scaled.sum(axis=1) * ch.gamma[:, user, :]).sum(axis=0)
+            floor = ch.sigma[:, user, :] + model.interference(scaled, ch)[:, user, :]
+            rounding = float((cfg.weights[:, user, None] * 4 * np.finfo(float).eps
+                              * received / floor).sum()) / np.log(2.0)
+            assert got == pytest.approx(expected, rel=1e-12, abs=rounding), (
+                user, got, expected)
+
+
 class TestPower:
     def test_static_floor_constants(self):
         # 3 W fiber at the macro site, 1 W per low-power head, 0.1 W / 3 W

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hcran_noma import model, scale
+from hcran_noma import dinkelbach, model, scale
 from hcran_noma.model import ChannelState, PowerAllocation
 from hcran_noma.scenarios import build_config, gen_channel
 from hcran_noma.scale import (ScaleSolver, SweepState,
@@ -353,7 +354,99 @@ class TestBudgetDual:
                 assert sums[m] == pytest.approx(tight[m], rel=1e-6)
 
 
+def _power_sums(num, den, mask, xi):
+    d = den + xi[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(d > 0, num / np.where(d > 0, d, 1.0), mask)
+    return np.where(num <= 0, 0.0, np.clip(p, 0.0, mask)).sum(axis=(1, 2))
+
+
+def _bisection_root(num, den, mask, budget):
+    """The smallest xi >= 0 with power sum <= budget, per head, by growth and
+    200 bisection steps."""
+    lo = np.zeros(len(budget))
+    slack = _power_sums(num, den, mask, lo) <= budget
+    hi = np.ones(len(budget))
+    while np.any(over := _power_sums(num, den, mask, hi) > budget):
+        hi[over] *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        over = _power_sums(num, den, mask, mid) > budget
+        lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
+    return np.where(slack, 0.0, hi)
+
+
+class TestBudgetSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 6),
+           warm=st.sampled_from(["none", "zero", "below", "above"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_bisection(self, m, k, n, warm, seed):
+        # entries with num <= 0, with den <= 0 (at the mask until xi
+        # passes -den) and clipped by the mask; heads with and without slack
+        rng = np.random.default_rng(seed)
+        shape = (m, k, n)
+        scale_ = 10.0 ** rng.uniform(-3, 3)
+        num = rng.uniform(-0.3, 1.0, shape) * scale_
+        den = rng.uniform(-0.3, 1.0, shape) * 10.0 ** rng.uniform(-3, 3)
+        mask = rng.uniform(0.1, 2.0, shape) * 10.0 ** rng.uniform(-1, 1)
+        budget = _power_sums(num, den, mask, np.zeros(m)) * rng.uniform(0.05, 1.3, m)
+        root = _bisection_root(num, den, mask, budget)
+        start = {"none": None, "zero": np.zeros(m),
+                 "below": root * rng.uniform(0.0, 1.0, m),
+                 "above": root * rng.uniform(1.0, 10.0, m) + rng.uniform(0, 1, m)}[warm]
+        stats = scale.SolveStats()
+        xi = _budget_dual(num, den, mask, budget, start, stats)
+        assert stats.budget_unbracketed == 0
+        assert np.all(_power_sums(num, den, mask, xi) <= budget)
+        assert np.all(xi[root == 0] == 0.0)
+        assert np.all(np.abs(xi - root) <= 2.0**-40 * root)
+
+    def test_unbracketed_head_is_counted(self):
+        # the root sits near 1e301, beyond the evaluation cap's reach: the
+        # head ends without any point within its budget, on the infeasible
+        # side, and says so; the slack head still returns 0
+        shape = (2, 2, 3)
+        num, den, mask = np.full(shape, 1e300), np.ones(shape), np.ones(shape)
+        budget = np.array([0.5, 100.0])
+        stats = scale.SolveStats()
+        xi = _budget_dual(num, den, mask, budget, stats=stats)
+        assert stats.budget_unbracketed == 1
+        assert _power_sums(num, den, mask, xi)[0] > budget[0]
+        assert xi[1] == 0.0
+
+    def test_few_power_sums_per_solve(self, monkeypatch):
+        cfg = build_config("hcran", k_total=12, k_streaming=3,
+                           rng=np.random.default_rng(1), m_f=2, n_subcarriers=32)
+        ch = gen_channel(cfg, 1)
+        counts = {"calls": 0, "sums": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scale, "_budget_dual", counted("calls", scale._budget_dual))
+        monkeypatch.setattr(scale, "_budget_power_sum",
+                            counted("sums", scale._budget_power_sum))
+        dinkelbach.solve(ch, cfg, ScaleSolver())
+        assert counts["calls"] > 0
+        assert counts["sums"] / counts["calls"] <= 6.0, counts
+
+
 class TestInnerSolve:
+    def test_phase_times(self):
+        cfg = build_config("hcran", k_total=12, k_streaming=3,
+                           rng=np.random.default_rng(1), m_f=2, n_subcarriers=32)
+        ch = gen_channel(cfg, 1)
+        stats = ScaleSolver().solve_fixed_e(ch, cfg, e=1.0).stats
+        phases = dataclasses.asdict(stats.phases)
+        assert set(phases) == {"setup", "rounds", "analyze", "budget", "sweep",
+                               "dual_update", "repair_sic", "trim", "boost", "check"}
+        assert all(t >= 0.0 for t in phases.values())
+        assert sum(phases.values()) <= stats.wall_time
+
     def test_single_entry_matches_golden_section(self):
         # 1-D oracle: maximize log2(1 + p g / s) - e eta p over [0, mask]
         cfg = make_config(m=1, k=1, n=1, p_max=[0.5], eta=[2.0])
