@@ -360,24 +360,27 @@ def per_user_rate(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig) 
 def user_rate_curve(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
                     k: int) -> Callable[[float], float]:
     """User k's weighted total rate as a function of a scale s on its own
-    powers: rate(s) equals ``per_user_rate`` of p with p[:, k, :] scaled by s,
-    every other power held.
+    powers: rate(s) is ``per_user_rate`` of p with p[:, k, :] scaled by s,
+    every other power held, up to rounding.
 
     The interference at k from the other users is summed once, with k's
     column removed; what s moves is k's signal and, for a user on several
     heads, its own signal received from the other heads.  Each evaluation is
-    then O(M*N)."""
+    then O(M*N).  Both cross-head terms are sums over the other heads, not
+    ``cross_interference``'s all-head total minus the own head, so a loud
+    own head cannot cancel them away."""
     g = ch.gamma[:, k, :]
     own = p[:, k, :] * g                       # (M, N) k's signal from each head
     others = p.copy()
     others[:, k, :] = 0.0
-    totals = others.sum(axis=1)                # (M, N)
     same = np.einsum("min,min->mn", ch.stronger[:, :, k, :], others)
-    cross = (totals * g).sum(axis=0)[None, :] - totals * g
-    floor = ch.sigma[:, k, :] + g * same + cross
-    # summed over the other heads, not as a total minus own: no cancellation
     other_heads = ~np.eye(own.shape[0], dtype=bool)[:, :, None]
-    self_cross = np.where(other_heads, own[None, :, :], 0.0).sum(axis=1)
+
+    def from_other_heads(rx: np.ndarray) -> np.ndarray:
+        return np.where(other_heads, rx[None, :, :], 0.0).sum(axis=1)
+
+    floor = ch.sigma[:, k, :] + g * same + from_other_heads(others.sum(axis=1) * g)
+    self_cross = from_other_heads(own)
     w = cfg.weights[:, k]
 
     def rate(s: float) -> float:

@@ -126,11 +126,13 @@ class TestUserRateCurve:
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(1, 3), k=st.integers(1, 5), n=st.integers(1, 3),
            two_heads=st.booleans(), n_off=st.integers(0, 2),
+           quiet=st.sampled_from([1.0, 1e-6]),
            s=st.sampled_from([0.0, 1e-6, 0.3, 1.0, 2.5]),
            seed=st.integers(0, 2**16))
-    def test_matches_per_user_rate(self, m, k, n, two_heads, n_off, s, seed):
+    def test_matches_per_user_rate(self, m, k, n, two_heads, n_off, quiet, s, seed):
         # an exclusive seating (one head per user), optionally with user 0 on
-        # two heads and the last n_off users without power
+        # two heads, the last n_off users without power, and every head but
+        # head 0 quiet (which a total-minus-own cross term would cancel away)
         rng = np.random.default_rng(seed)
         cfg = make_config(m=m, k=k, n=n,
                           weights=rng.uniform(0.2, 1.0, (m, k)))
@@ -143,6 +145,7 @@ class TestUserRateCurve:
             p[(heads[0] + 1) % m, 0, :] = rng.uniform(0.01, 1.0, n)
         if n_off:
             p[:, -n_off:, :] = 0.0
+        p[1:] *= quiet
         for user in range(k):
             scaled = p.copy()
             scaled[:, user, :] *= s
