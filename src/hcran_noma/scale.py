@@ -444,8 +444,8 @@ def _budget_power_sum(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
     num > 0 that sit at or below their mask."""
     d = den_rest + xi[:, None, None]
     pos = d > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = num / d     # read only where d > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        raw = num / d     # read only where d > 0; an overflow sits at the mask
         slope = raw / d
     p = np.where(num <= 0, 0.0, np.where(pos, np.minimum(raw, mask), mask))
     free = pos & (num > 0) & (raw <= mask)

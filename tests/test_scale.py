@@ -386,8 +386,7 @@ class TestBudgetSolve:
         # passes -den) and clipped by the mask; heads with and without slack
         rng = np.random.default_rng(seed)
         shape = (m, k, n)
-        scale_ = 10.0 ** rng.uniform(-3, 3)
-        num = rng.uniform(-0.3, 1.0, shape) * scale_
+        num = rng.uniform(-0.3, 1.0, shape) * 10.0 ** rng.uniform(-3, 3)
         den = rng.uniform(-0.3, 1.0, shape) * 10.0 ** rng.uniform(-3, 3)
         mask = rng.uniform(0.1, 2.0, shape) * 10.0 ** rng.uniform(-1, 1)
         budget = _power_sums(num, den, mask, np.zeros(m)) * rng.uniform(0.05, 1.3, m)
