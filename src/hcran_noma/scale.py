@@ -488,7 +488,7 @@ def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
         done = floor >= (1.0 - _BUDGET_RTOL) * hi  # false while hi = inf
         if done.all():
             return hi
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             target = (x - (s - budget) / ds) * np.where(over, 1.0 + nudge, 1.0 - nudge)
         newton = (target > floor) & (target < hi) & (
             np.isinf(hi) | (np.abs(target - x) <= 0.5 * step))
