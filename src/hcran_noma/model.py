@@ -21,6 +21,16 @@ pairs' gathers and constants; ``pair_margins`` is their one vectorised margin.
 The inner solver carries only the pairs its start seats (``scale.SeatedPairs``,
 gathered flat from these arrays); the checker, the repair and the oracle read
 every pair.
+
+This module owns the interference sums, and each takes powers with any
+leading axes (..., M, K, N): ``other_heads`` sums over the other heads with
+the own head at an exact zero weight, ``cross_interference`` is the power
+received from the other heads, ``noise_floor`` adds the same-head stronger
+users and the noise, and ``weaker_sum`` is the adjoint same-head sum.  The
+SINR, the rates, the inner solver's sweep, the polyblock bounds and the grid
+oracle all read them; of the interference sums only ``noise_floor`` and
+``weaker_sum`` (with ``user_rate_curve``'s one-user column) read the
+``stronger`` mask.
 """
 
 from __future__ import annotations
@@ -157,9 +167,6 @@ class NetworkConfig:
     @property
     def n_users(self) -> int:
         return len(self.users)
-
-    def elastic_users(self) -> list[int]:
-        return [i for i, u in enumerate(self.users) if u.kind == "elastic"]
 
     def streaming_users(self) -> list[int]:
         return [i for i, u in enumerate(self.users) if u.kind == "streaming"]
@@ -304,29 +311,44 @@ def zeros_like_alloc(cfg: NetworkConfig) -> PowerAllocation:
     return PowerAllocation(p=np.zeros((cfg.n_rrh, cfg.n_users, cfg.n_subcarriers)))
 
 
+def other_heads(x: np.ndarray) -> np.ndarray:
+    """Sum over the other heads: out[..., m, k, n] = sum_{j != m} x[..., j, k, n]
+    for x (..., M, K, N).  The own head enters with an exact zero weight
+    instead of being subtracted from an all-head total, so a loud own head
+    cannot cancel the others away.  With M = 1 the result is all zeros."""
+    not_own = 1.0 - np.eye(x.shape[-3])
+    return np.einsum("jm,...jkn->...mkn", not_own, x)
+
+
 def cross_interference(p: np.ndarray, ch: ChannelState) -> np.ndarray:
-    """(M, K, N): total power received at user k (channel of RRH m) from all
-    users of every other RRH on the same subcarrier."""
-    totals = p.sum(axis=1)  # (M, N) per-RRH transmit total
-    # all-RRH contribution at user k through each origin's channel, minus own RRH
-    full = np.einsum("jn,jkn->kn", totals, ch.gamma)
-    return full[None, :, :] - totals[:, None, :] * ch.gamma
+    """(..., M, K, N): total power received at user k (channel of RRH m)
+    from all users of every other RRH on the same subcarrier."""
+    return other_heads(p.sum(axis=-2, keepdims=True) * ch.gamma)
 
 
-def interference(p: np.ndarray, ch: ChannelState) -> np.ndarray:
-    """(M, K, N) interference floor: same-RRH stronger users received through
-    the victim's own channel, plus everything from other RRHs."""
-    same_power = np.einsum("mikn,min->mkn", ch.stronger, p)
-    return ch.gamma * same_power + cross_interference(p, ch)
+def weaker_sum(x: np.ndarray, ch: ChannelState) -> np.ndarray:
+    """(..., M, K, N): sum of x over the same-head users that k's signal
+    interferes with (those k decodes after), the adjoint of the stronger-user
+    sum in ``noise_floor``."""
+    return np.einsum("mkln,...mln->...mkn", ch.stronger, x)
+
+
+def noise_floor(p: np.ndarray, ch: ChannelState) -> tuple[np.ndarray, np.ndarray]:
+    """(floor, cross), both (..., M, K, N) for powers p (..., M, K, N).  floor
+    is noise plus the same-head stronger users received through the victim's
+    own channel plus ``cross``, everything from the other heads."""
+    same = np.einsum("mikn,...min->...mkn", ch.stronger, p)
+    cross = cross_interference(p, ch)
+    return ch.sigma + ch.gamma * same + cross, cross
 
 
 def sinr_array(p: np.ndarray, ch: ChannelState) -> np.ndarray:
-    """(M, K, N) post-cancellation SINR."""
-    return p * ch.gamma / (ch.sigma + interference(p, ch))
+    """(..., M, K, N) post-cancellation SINR."""
+    return p * ch.gamma / noise_floor(p, ch)[0]
 
 
 def rate_array(p: np.ndarray, ch: ChannelState) -> np.ndarray:
-    """(M, K, N) Shannon rates log2(1 + SINR), bits/s/Hz."""
+    """(..., M, K, N) Shannon rates log2(1 + SINR), bits/s/Hz."""
     return np.log2(1.0 + sinr_array(p, ch))
 
 
@@ -366,25 +388,19 @@ def user_rate_curve(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
     The interference at k from the other users is summed once, with k's
     column removed; what s moves is k's signal and, for a user on several
     heads, its own signal received from the other heads.  Each evaluation is
-    then O(M*N).  Both cross-head terms are sums over the other heads, not
-    ``cross_interference``'s all-head total minus the own head, so a loud
-    own head cannot cancel them away."""
-    g = ch.gamma[:, k, :]
-    own = p[:, k, :] * g                       # (M, N) k's signal from each head
+    then O(M*N)."""
+    g = ch.gamma[:, k:k + 1, :]                # (M, 1, N) k's gain from each head
+    own = p[:, k:k + 1, :] * g                 # k's signal from each head
     others = p.copy()
     others[:, k, :] = 0.0
-    same = np.einsum("min,min->mn", ch.stronger[:, :, k, :], others)
-    other_heads = ~np.eye(own.shape[0], dtype=bool)[:, :, None]
-
-    def from_other_heads(rx: np.ndarray) -> np.ndarray:
-        return np.where(other_heads, rx[None, :, :], 0.0).sum(axis=1)
-
-    floor = ch.sigma[:, k, :] + g * same + from_other_heads(others.sum(axis=1) * g)
-    self_cross = from_other_heads(own)
+    same = np.einsum("min,min->mn", ch.stronger[:, :, k, :], others)[:, None]
+    floor = (ch.sigma[:, k:k + 1, :] + g * same
+             + other_heads(others.sum(axis=1, keepdims=True) * g))
+    self_cross = other_heads(own)
     w = cfg.weights[:, k]
 
     def rate(s: float) -> float:
-        return float(w @ np.log2(1.0 + s * own / (floor + s * self_cross)).sum(axis=1))
+        return float(w @ np.log2(1.0 + s * own / (floor + s * self_cross)).sum(axis=(1, 2)))
 
     return rate
 

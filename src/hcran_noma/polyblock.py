@@ -59,20 +59,11 @@ class _Boxes:
         self.streaming = cfg.streaming_users()
         self.min_rates = cfg.min_rates()
 
-    def _floors(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sigma + interference, and the cross-head part alone."""
-        gamma = self.ch.gamma
-        totals = p.sum(axis=2)  # (B, M, N)
-        full = np.einsum("bjn,jkn->bkn", totals, gamma)
-        cross = full[:, None] - totals[:, :, None] * gamma
-        same = np.einsum("mikn,bmin->bmkn", self.ch.stronger, p)
-        return self.ch.sigma + gamma * same + cross, cross
-
     def evaluate(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bound, alive), both (B,)."""
         ch, cfg, tol = self.ch, self.cfg, self.cfg.tolerances
-        floor_a, cross_a = self._floors(a)
-        floor_b, cross_b = self._floors(b)
+        floor_a, cross_a = model.noise_floor(a, ch)
+        floor_b, cross_b = model.noise_floor(b, ch)
         w = cfg.weights[None, :, :, None] * (b > 0)
         plus = np.einsum("bmkn->bk", w * np.log2(floor_b + b * ch.gamma))
         rate = plus - np.einsum("bmkn->bk", w * np.log2(floor_a))  # (B, K)

@@ -42,6 +42,11 @@ per-sweep analysis, the step sizes and the cancellation-order multipliers run
 over that list alone.  The repair and the feasibility check still read every
 pair.
 
+The interference floor and the same-head adjoint sum come from ``model``
+(``noise_floor``, ``weaker_sum``).  The per-sweep analysis keeps its four
+adjoint other-head sums as an all-head total minus the own head: the
+trajectory is sensitive to their rounding (see ``_SolveContext.analyze``).
+
 The printed closed-form updates this solver descends from show inconsistent
 index patterns in their pressure sums, so all terms here are derived directly
 from the stationarity conditions of the log-domain Lagrangian; the test suite
@@ -144,49 +149,6 @@ def approx_rate_array(p: np.ndarray, ch: ChannelState,
     with np.errstate(divide="ignore"):
         logz = np.log2(np.maximum(z, _Z_FLOOR))
     return np.where(z > 0, coeffs.beta + coeffs.alpha * logz, -np.inf)
-
-
-# ---------------------------------------------------------------------------
-# difference-of-convex linearization of the cancellation constraint
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DcLinearization:
-    """Tangent data of the subtracted cross-product term for one ordered pair
-    (strong user k, weak user k_prime) on (m, n).
-
-    value   g evaluated at the expansion point
-    grad    (M, K, N): component [j, i, n'] is d g / d ln p[j, i, n'] at the
-            expansion point (zero off the constraint's subcarrier).
-    """
-
-    value: float
-    grad: np.ndarray
-
-
-def dc_linearize(alloc_prev: PowerAllocation, ch: ChannelState,
-                 m: int, k: int, k_prime: int, n: int) -> DcLinearization:
-    """Linearize g(p) = G[m,k,n] * p[m,k,n] * p[m,k',n] *
-    sum_{j != m} sum_i p[j,i,n] * G[j,k',n] at the previous iterate.
-
-    In log-power coordinates g is a sum of exponentials of affine functions,
-    hence convex, so the returned tangent never exceeds it.  The linearized
-    constraint (kept convex part minus tangent <= 0) is therefore tighter than
-    the original everywhere and coincides with it at the expansion point.
-    """
-    p = alloc_prev.p
-    m_count = p.shape[0]
-    cross = sum(p[j, :, n].sum() * ch.gamma[j, k_prime, n]
-                for j in range(m_count) if j != m)
-    base = ch.gamma[m, k, n] * p[m, k, n] * p[m, k_prime, n]
-    value = float(base * cross)
-    grad = np.zeros_like(p)
-    grad[m, k, n] += value
-    grad[m, k_prime, n] += value
-    for j in range(m_count):
-        if j != m:
-            grad[j, :, n] += base * p[j, :, n] * ch.gamma[j, k_prime, n]
-    return DcLinearization(value=value, grad=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +365,6 @@ class SolveStats:
     total_sweeps: int = 0
     round_objectives: list = field(default_factory=list)  # surrogate per round
     true_objective: float = float("nan")
-    used_warm_start: bool = False
     fixed_point_residual: float = float("nan")  # |p - update(p)| / p_max at exit
     infeasible_reason: str | None = None
     wall_time: float = 0.0
@@ -535,7 +496,6 @@ class ScaleSolver:
                 raise ValueError("a warm start must seat each user on one head and "
                                  "at most l_max users per subcarrier")
             starts = [np.clip(warm_start.p, ctx.p_floor, cfg.p_mask)]
-            stats.used_warm_start = True
         elif ch.gamma.size <= _MULTISTART_CELLS:
             if cfg.n_rrh ** cfg.n_users <= _MULTISTART_ASSIGNMENTS:
                 assignments = itertools.product(range(cfg.n_rrh), repeat=cfg.n_users)
@@ -744,9 +704,7 @@ class _SolveContext:
         ch, cfg = self.ch, self.cfg
         gamma = ch.gamma
 
-        cross = cross_interference(p, ch)
-        same = np.einsum("mikn,min->mkn", ch.stronger, p)
-        floor = ch.sigma + gamma * same + cross
+        floor, cross = model.noise_floor(p, ch)
         inv_floor = 1.0 / floor
         z = p * gamma * inv_floor
         r_hat = coeffs.beta + coeffs.alpha * np.log2(np.maximum(z, _Z_FLOOR))
@@ -755,7 +713,11 @@ class _SolveContext:
         c_rate = (self.weights * zeta_of[None, :])[:, :, None] * coeffs.alpha
 
         t_same = c_rate * gamma * inv_floor / LN2
-        psi_same = np.einsum("mkln,mln->mkn", ch.stronger, t_same)
+        psi_same = model.weaker_sum(t_same, ch)
+        # this and the three other adjoint other-head sums below (the cross
+        # part of den_sic, b_term, h_cross) stay as total minus own head: the
+        # trajectory is sensitive to their rounding, and reassociating this
+        # one alone moves the benchmark ladder's mean EE by -0.41 %
         u = c_rate * inv_floor / LN2
         u_tot = u.sum(axis=0)
         psi_cross = (np.einsum("mln,ln->mn", gamma, u_tot)
@@ -934,8 +896,7 @@ def service_scores(cfg: NetworkConfig, ch: ChannelState) -> np.ndarray:
     Ranks a distant user toward the high-power node even when a low-power
     head offers a marginally larger raw gain that its own SINR cannot use."""
     per_sub = (cfg.p_max / cfg.n_subcarriers)[:, None, None]
-    load = per_sub * ch.gamma                      # (M, K, N) full-load rx
-    cross = load.sum(axis=0)[None] - load
+    cross = model.other_heads(per_sub * ch.gamma)  # full-load rx from the others
     sinr = cfg.p_mask * ch.gamma / (ch.sigma + cross)
     return np.log2(1.0 + sinr).mean(axis=2)
 

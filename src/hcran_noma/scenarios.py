@@ -361,13 +361,7 @@ def grid_oracle(inst: TinyInstance, levels: int = 20) -> float:
         top = np.sort(p, axis=2)[:, :, -ell:, :]
         ok &= np.all(top.prod(axis=2) <= cfg.rho2, axis=(1, 2))
 
-    gamma, sigma = ch.gamma, ch.sigma
-    totals = p.sum(axis=2)                                    # (G, M, N)
-    full = np.einsum("gjn,jkn->gkn", totals, gamma)
-    cross = full[:, None, :, :] - totals[:, :, None, :] * gamma[None]
-    same = np.einsum("mikn,gmin->gmkn", ch.stronger, p)
-    floors = sigma[None] + gamma[None] * same + cross
-    rates = np.log2(1.0 + p * gamma[None] / floors)
+    rates = model.rate_array(p, ch)  # (G, M, K, N)
 
     streaming = cfg.streaming_users()
     if streaming:
@@ -377,7 +371,7 @@ def grid_oracle(inst: TinyInstance, levels: int = 20) -> float:
                      - cfg.tolerances.c13_rate_tol, axis=1)
 
     p_s, p_w = ch.strong_side(p), ch.weak_side(p)
-    omega, scale = model.pair_margins(ch, cross)
+    omega, scale = model.pair_margins(ch, model.cross_interference(p, ch))
     bad = p_s * p_w * omega > cfg.tolerances.c14_rel_tol * p_s * p_w * scale
     ok &= ~bad.any(axis=(1, 2, 3))
 

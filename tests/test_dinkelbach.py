@@ -6,6 +6,7 @@ from hcran_noma import dinkelbach, model
 from hcran_noma.dinkelbach import InfeasibleProblemError, surplus
 from hcran_noma.model import PowerAllocation
 from hcran_noma.scale import ScaleSolver, SolveStats, InnerResult
+from hcran_noma.scenarios import build_config, gen_channel
 
 from conftest import make_config, make_channel
 
@@ -121,16 +122,30 @@ class TestSolve:
         mesh = np.meshgrid(*axes, indexing="ij")
         p = np.stack([m.reshape(-1) for m in mesh], axis=1).reshape(-1, 1, 2, 2)
         ok = p.sum(axis=(1, 2, 3)) <= cfg.p_max[0] * (1 + 1e-12)
-        totals = p.sum(axis=2)
-        full = np.einsum("gjn,jkn->gkn", totals, ch.gamma)
-        cross = full[:, None] - totals[:, :, None, :] * ch.gamma[None]
-        same = np.einsum("mikn,gmin->gmkn", ch.stronger, p)
-        floors = ch.sigma[None] + ch.gamma[None] * same + cross
-        rates = np.log2(1 + p * ch.gamma[None] / floors)
-        r = rates.sum(axis=(1, 2, 3))
+        r = model.rate_array(p, ch).sum(axis=(1, 2, 3))
         power = cfg.static_power() + cfg.eta[0] * p.sum(axis=(1, 2, 3))
         best = np.max((r / power)[ok])
         assert trace.final_e >= best * 0.98
+
+
+class TestGoldenLadder:
+    """The benchmark ladder's three cold solves, pinned: a change that moves
+    these results on purpose updates the pins and says why."""
+
+    # (M, K, N): (final ratio, summed inner sweeps over the outer iterations)
+    PINS = {(3, 12, 32): (90.73843553246901, 82),
+            (3, 24, 64): (182.72935852279474, 675),
+            (4, 32, 64): (161.7468599429409, 610)}
+
+    @pytest.mark.parametrize("size", sorted(PINS), ids=lambda s: "m{}k{}n{}".format(*s))
+    def test_pinned(self, size):
+        m, k, n = size
+        cfg = build_config("hcran", k_total=k, k_streaming=k // 4,
+                           rng=np.random.default_rng(1), m_f=m - 1, n_subcarriers=n)
+        trace = dinkelbach.solve(gen_channel(cfg, 1), cfg, ScaleSolver())
+        final_e, sweeps = self.PINS[size]
+        assert trace.final_e == pytest.approx(final_e, rel=1e-8)
+        assert sum(it.inner_stats.total_sweeps for it in trace.iterations) == sweeps
 
 
 class TestSolveProperties:

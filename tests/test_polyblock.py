@@ -60,8 +60,8 @@ class TestBoxBound:
         for _ in range(20):
             a, b, _ = _seated_box(cfg, rng)
             seated = b > 0
-            floor_a = ch.sigma + model.interference(a, ch)
-            floor_b = ch.sigma + model.interference(b, ch)
+            floor_a = model.noise_floor(a, ch)[0]
+            floor_b = model.noise_floor(b, ch)[0]
             terms = np.log2(floor_b + b * ch.gamma) - np.log2(floor_a)
             expected = (np.sum(cfg.weights[:, :, None] * terms, where=seated)
                         - 0.3 * model.total_power(PowerAllocation(p=a), cfg))
