@@ -15,12 +15,14 @@ same-RRH users with *stronger* channels (their signals cannot be cancelled)
 and by every user of every other RRH.  Channel ties are broken by user index
 (lower index counts as stronger) so the decode order is a strict total order.
 The order depends on the channel gains alone, so ``ChannelState`` holds it:
-``ch.stronger`` is the dense (M, K, K, N) mask and ``ch.pairs`` the user
-pairs oriented by it, each built once per channel on first use, with the
-pairs' gathers and constants; ``pair_margins`` is their one vectorised margin.
-The inner solver carries only the pairs its start seats (``scale.SeatedPairs``,
-gathered flat from these arrays); the checker, the repair and the oracle read
-every pair.
+``ch.stronger`` is the dense (M, K, K, N) mask, built once per channel on
+first use.  The cancellation-order condition binds only on users that share
+a powered (m, n), so its pairs are listed per support: ``support_pairs``
+gives the pairs of a bool (M, K, N) support as one flat ``SupportPairs``
+list, oriented by the same tie rule, with their constants, and
+``pair_margins`` is their one vectorised margin.  The inner solver lists the
+pairs its start seats, the repair those of its current support, the checker
+those of the powered entries, and the desk-scale oracles every pair.
 
 This module owns the interference sums, and each takes powers with any
 leading axes (..., M, K, N): ``other_heads`` sums over the other heads with
@@ -208,18 +210,11 @@ class NetworkConfig:
         return out
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """Freeze a cached array: every reader of the channel shares it."""
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class ChannelState:
     """Linear channel power gains and noise powers, both (M, K, N), plus the
-    decode order they fix and the per-pair constants of that order.  All are
-    cached on first use, so gamma and sigma must not be modified after
-    construction."""
+    decode order they fix, cached on first use, so gamma and sigma must not
+    be modified after construction."""
 
     gamma: np.ndarray
     sigma: np.ndarray
@@ -243,45 +238,68 @@ class ChannelState:
         gk = self.gamma[:, None, :, :]  # k axis
         idx = np.arange(self.gamma.shape[1])
         earlier = (idx[:, None] < idx[None, :])[None, :, :, None]
-        return _read_only((gi > gk) | ((gi == gk) & earlier))
-
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every unordered user pair oriented by the decode order on each
-        (m, n): (strong_idx, weak_idx), both (M, P, N) with P = K*(K-1)/2.
-        Row p of strong_idx holds the pair member whose signal the other
-        cannot cancel."""
-        a, b = np.triu_indices(self.gamma.shape[1], k=1)
-        a_strong = self.stronger[:, a, b, :]  # (M, P, N)
-        a, b = a[None, :, None], b[None, :, None]
-        return _read_only(np.where(a_strong, a, b)), _read_only(np.where(a_strong, b, a))
-
-    def strong_side(self, x: np.ndarray) -> np.ndarray:
-        """The strong member's entry of every oriented pair: x (..., M, K, N)
-        gathered to (..., M, P, N)."""
-        return _pair_gather(x, self.pairs[0])
-
-    def weak_side(self, x: np.ndarray) -> np.ndarray:
-        """The weak member's entry of every oriented pair, as strong_side."""
-        return _pair_gather(x, self.pairs[1])
-
-    @cached_property
-    def pair_gains(self) -> tuple[np.ndarray, np.ndarray]:
-        """(g_s, g_w), (M, P, N): each pair member's gain on its own head."""
-        return (_read_only(self.strong_side(self.gamma)),
-                _read_only(self.weak_side(self.gamma)))
-
-    @cached_property
-    def pair_noise(self) -> tuple[np.ndarray, np.ndarray]:
-        """Noise parts of each pair's cancellation margin and of its scale
-        (see ``pair_margins``): (g_w*s_s - g_s*s_w, g_w*s_s + g_s*s_w)."""
-        g_s, g_w = self.pair_gains
-        s_s, s_w = self.strong_side(self.sigma), self.weak_side(self.sigma)
-        return _read_only(g_w * s_s - g_s * s_w), _read_only(g_w * s_s + g_s * s_w)
+        mask = (gi > gk) | ((gi == gk) & earlier)
+        mask.flags.writeable = False  # every reader of the channel shares it
+        return mask
 
 
-def _pair_gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(x, idx[(None,) * (x.ndim - 3)], axis=-2)
+@dataclass(frozen=True)
+class SupportPairs:
+    """The cancellation-order pairs of a support (``support_pairs``): the
+    user pairs whose two members the support holds on one (m, n), oriented
+    by the decode order and listed in (m, a, b, n) order, a < b the two
+    users.  Every field is (L,), one entry per pair; strong and weak are
+    flat indices of the members' entries into (M, K, N) arrays, the strong
+    member being the one whose signal the other cannot cancel."""
+
+    strong: np.ndarray
+    weak: np.ndarray
+    g_s: np.ndarray          # each member's gain on its own head
+    g_w: np.ndarray
+    noise: np.ndarray        # noise part of the margin, g_w*s_s - g_s*s_w
+    noise_scale: np.ndarray  # noise part of its scale, g_w*s_s + g_s*s_w
+
+    def __len__(self) -> int:
+        return self.strong.size
+
+    def sides(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x_s, x_w), both (..., L): each member's entry of x (..., M, K, N)."""
+        flat = x.reshape(*x.shape[:-3], -1)
+        return flat[..., self.strong], flat[..., self.weak]
+
+    def bracket(self, c_s: np.ndarray) -> np.ndarray:
+        """Kept part of each margin, g_w*(s_s + C_s) - g_s*s_w, from the
+        cross interference C_s at the strong member (any leading axes)."""
+        return self.noise + self.g_w * c_s
+
+
+def support_pairs(ch: ChannelState, support: np.ndarray) -> SupportPairs:
+    """Every pair of users that the bool (M, K, N) support holds on the same
+    (m, n).  User a < b is the strong member iff gamma_a >= gamma_b, the
+    tie rule of ``ch.stronger``.  Costs O(G*E + L log L) for E supported
+    entries, L pairs and G the most users held on one (m, n)."""
+    k_count, n_count = ch.gamma.shape[1:]
+    m, n, k = np.nonzero(support.transpose(0, 2, 1))  # by (m, n), k rising
+    cell = m * n_count + n
+    first, second = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for d in range(1, k_count):  # members d places apart in one (m, n) group
+        i = np.flatnonzero(cell[d:] == cell[:-d])
+        if i.size == 0:
+            break
+        first.append(i)
+        second.append(i + d)
+    i, j = np.concatenate(first), np.concatenate(second)
+    order = np.lexsort((n[i], k[j], k[i], m[i]))
+    i, j = i[order], j[order]
+    a = (m[i] * k_count + k[i]) * n_count + n[i]
+    b = a + (k[j] - k[i]) * n_count
+    gamma, sigma = ch.gamma.reshape(-1), ch.sigma.reshape(-1)
+    a_strong = gamma[a] >= gamma[b]
+    strong, weak = np.where(a_strong, a, b), np.where(a_strong, b, a)
+    g_s, g_w = gamma[strong], gamma[weak]
+    s_s, s_w = sigma[strong], sigma[weak]
+    return SupportPairs(strong=strong, weak=weak, g_s=g_s, g_w=g_w,
+                        noise=g_w * s_s - g_s * s_w, noise_scale=g_w * s_s + g_s * s_w)
 
 
 @dataclass
@@ -453,24 +471,16 @@ def sic_margin(alloc: PowerAllocation, ch: ChannelState,
     )
 
 
-def sic_bracket(ch: ChannelState, c_s: np.ndarray) -> np.ndarray:
-    """Kept part of each oriented pair's cancellation margin,
-    g_w*(s_s + C_s) - g_s*s_w, from the cross interference C_s at the strong
-    member (``ch.strong_side(cross)``, any leading axes)."""
-    return ch.pair_noise[0] + ch.pair_gains[1] * c_s
-
-
-def pair_margins(ch: ChannelState, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of ``sic_margin`` over every oriented pair: (omega, scale),
-    (..., M, P, N), from a cross-interference array (..., M, K, N).
+def pair_margins(pairs: SupportPairs, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vector form of ``sic_margin`` over a pair list: (omega, scale), both
+    (..., L), from a cross-interference array (..., M, K, N).
 
     omega = g_w*(s_s + C_s) - g_s*(s_w + C_w); positive breaks the decode
     order.  scale is the sum of the four terms' magnitudes, the normaliser of
     the relative tolerance bands."""
-    g_s, g_w = ch.pair_gains
-    c_s, c_w = ch.strong_side(cross), ch.weak_side(cross)
-    omega = sic_bracket(ch, c_s) - g_s * c_w
-    scale = ch.pair_noise[1] + g_w * c_s + g_s * c_w
+    c_s, c_w = pairs.sides(cross)
+    omega = pairs.bracket(c_s) - pairs.g_s * c_w
+    scale = pairs.noise_scale + pairs.g_w * c_s + pairs.g_s * c_w
     return omega, scale
 
 
@@ -516,9 +526,11 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
 
     C10 compares the product of each user's two largest per-head peaks with
     rho1 and reports it as (k, a, n_a, b, n_b), a < b, n_x the peak's
-    subcarrier on head x.  C14 runs over the user pairs oriented by the
-    channel's decode order (``ch.pairs``).  Apart from that cached order,
-    neither builds an array larger than (M, K*(K-1)/2, N).
+    subcarrier on head x.  C14 runs over the pairs of the powered entries
+    (``support_pairs`` of p > 0) and reports them as (m, strong, weak, n),
+    in that order.  Apart from the cached decode order, neither builds an
+    array larger than (M, K, N) or one entry per powered pair: at most
+    C(l_max, 2) per (m, n) when at most l_max users are powered there.
 
     streaming_min_rates defaults to the delay-induced thresholds from the
     config's traffic specs.
@@ -579,13 +591,16 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
 
     # C14: cancellation order on active pairs, normalized by the term scale so
     # the band is dimensionless.
-    omega, scale = pair_margins(ch, cross_interference(p, ch))
-    pair_power = ch.strong_side(p) * ch.weak_side(p)
+    pairs = support_pairs(ch, p > 0)
+    omega, scale = pair_margins(pairs, cross_interference(p, ch))
+    p_s, p_w = pairs.sides(p)
+    pair_power = p_s * p_w
     lhs = pair_power * omega
     band = tol.c14_rel_tol * pair_power * scale
-    hit = np.nonzero((lhs > band) & (pair_power > 0))
-    strong_idx, weak_idx = ch.pairs
-    rows = np.stack([hit[0], strong_idx[hit], weak_idx[hit], hit[2]], axis=1)
+    hit = np.flatnonzero((lhs > band) & (pair_power > 0))  # not underflowed to 0
+    m, k_s, n = np.unravel_index(pairs.strong[hit], p.shape)
+    k_w = np.unravel_index(pairs.weak[hit], p.shape)[1]
+    rows = np.stack([m, k_s, k_w, n], axis=1)
     order = np.lexsort(rows.T[::-1])  # (m, strong, weak, n) order
     for index, magnitude in zip(rows[order].tolist(), lhs[hit][order].tolist()):
         out.append(Violation("C14", tuple(index), magnitude))

@@ -58,6 +58,7 @@ class _Boxes:
         self.elastic = cfg.elastic_mask()
         self.streaming = cfg.streaming_users()
         self.min_rates = cfg.min_rates()
+        self.pairs = model.support_pairs(ch, np.ones(ch.gamma.shape, dtype=bool))
 
     def evaluate(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bound, alive), both (B,)."""
@@ -74,11 +75,12 @@ class _Boxes:
         if self.streaming:
             short = self.min_rates[self.streaming] - tol.c13_rate_tol
             alive &= np.all(rate[:, self.streaming] >= short, axis=1)
-        powered = (ch.strong_side(a) > 0) & (ch.weak_side(a) > 0)
-        low = model.sic_bracket(ch, ch.strong_side(cross_a)) \
-            - ch.pair_gains[0] * ch.weak_side(cross_b)
-        _, scale_hi = model.pair_margins(ch, cross_b)
-        alive &= ~np.any(powered & (low > tol.c14_rel_tol * scale_hi), axis=(1, 2, 3))
+        pairs = self.pairs
+        a_s, a_w = pairs.sides(a)
+        low = pairs.bracket(pairs.sides(cross_a)[0]) - pairs.g_s * pairs.sides(cross_b)[1]
+        _, scale_hi = model.pair_margins(pairs, cross_b)
+        alive &= ~np.any((a_s > 0) & (a_w > 0) & (low > tol.c14_rel_tol * scale_hi),
+                         axis=1)
         if cfg.n_users > cfg.l_max:
             alive &= np.all((a > 0).sum(axis=2) <= cfg.l_max, axis=(1, 2))
         return bound, alive

@@ -37,10 +37,11 @@ best result.
 The seating also fixes which cancellation-order pairs can carry power: the
 pairs whose two members share a seated (m, n), at most C(l_max, 2) per
 (m, n) instead of K(K-1)/2.  Each start lists those pairs once
-(``_SolveContext.seat``, in ``ch.pairs`` order), and the linearization, the
-per-sweep analysis, the step sizes and the cancellation-order multipliers run
-over that list alone.  The repair and the feasibility check still read every
-pair.
+(``model.support_pairs`` in ``_SolveContext.seat``), and the linearization,
+the per-sweep analysis, the step sizes and the cancellation-order
+multipliers run over that list alone.  The repair lists the pairs of its
+current support the same way, and the feasibility check those of the
+powered entries.
 
 The interference floor and the same-head adjoint sum come from ``model``
 (``noise_floor``, ``weaker_sum``).  The per-sweep analysis keeps its four
@@ -155,27 +156,6 @@ def approx_rate_array(p: np.ndarray, ch: ChannelState,
 # dual state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeatedPairs:
-    """The cancellation-order pairs a start can power: the oriented pairs
-    (``ch.pairs``) whose two members the start seats on the pair's (m, n),
-    listed in ``ch.pairs`` (m, q, n) order, with their constants.  Every
-    field is (L,), one entry per pair; strong and weak are flat indices of
-    the members' entries into (M, K, N) arrays."""
-
-    strong: np.ndarray
-    weak: np.ndarray
-    g_s: np.ndarray      # each member's gain on its own head
-    g_w: np.ndarray
-    noise: np.ndarray    # noise part of the margin, g_w*s_s - g_s*s_w
-    scale: np.ndarray    # margin term scale at mask power (``pair_margins``)
-    mask_s: np.ndarray   # each member's spectral mask
-    mask_w: np.ndarray
-
-    def __len__(self) -> int:
-        return self.strong.size
-
-
 @dataclass
 class DualState:
     """Non-negative multipliers of the relaxed constraint families.
@@ -190,7 +170,7 @@ class DualState:
     xi: np.ndarray
     zeta: np.ndarray
     zeta_t: np.ndarray
-    pairs: SeatedPairs
+    pairs: model.SupportPairs
 
 
 @dataclass(frozen=True)
@@ -621,8 +601,7 @@ class ScaleSolver:
 class _SolveContext:
     """Everything fixed for one solve_fixed_e call, plus the vectorized
     per-sweep analysis.  The cancellation-order terms run over the pairs of
-    the current start's seating (``seat``); a new context seats every
-    entry."""
+    the current start's seating (``seat``); a new context seats nothing."""
 
     def __init__(self, ch: ChannelState, cfg: NetworkConfig, e: float):
         self.ch = ch
@@ -646,37 +625,29 @@ class _SolveContext:
         # family's useful multiplier magnitude
         self.p_ref = 0.5 * float(cfg.p_max.mean()) / (k_count * n_count)
         self.den_scale = max(e * float(cfg.eta.max()), 1.0 / (LN2 * self.p_ref))
-        # (M, P, N) margin scale of every oriented pair at mask power
-        _, scale_at_mask = model.pair_margins(ch, cross_interference(cfg.p_mask, ch))
-        self.sic_scale = scale_at_mask + 1e-300
-        self.seat(np.ones(self.shape, dtype=bool))
+        # cross interference at mask power, which sets each pair's margin scale
+        self.cross_at_mask = cross_interference(cfg.p_mask, ch)
+        self.seat(np.zeros(self.shape, dtype=bool))
 
     # -- state builders -----------------------------------------------------
+    def scale_at_mask(self, pairs: model.SupportPairs) -> np.ndarray:
+        """(L,) each pair's margin scale (``pair_margins``) at mask power."""
+        return model.pair_margins(pairs, self.cross_at_mask)[1] + 1e-300
+
     def seat(self, seating: np.ndarray) -> None:
         """Carry the pairs of one start: those whose two members ``seating``
-        (bool (M, K, N)) places on the pair's (m, n).  Sets ``pairs`` and the
-        ``step_rule`` over them."""
-        ch, cfg = self.ch, self.cfg
-        k_count, n_count = self.shape[1:]
-        strong_idx, weak_idx = ch.pairs
-        sel = np.flatnonzero(ch.strong_side(seating) & ch.weak_side(seating))
-        # flat (m, q, n) pair index -> flat (m, k, n) entry index of each member
-        base = sel // (strong_idx.shape[1] * n_count) * k_count
-        subc = sel % n_count
-        strong = (base + strong_idx.reshape(-1)[sel]) * n_count + subc
-        weak = (base + weak_idx.reshape(-1)[sel]) * n_count + subc
-        gamma, mask = ch.gamma.reshape(-1), cfg.p_mask.reshape(-1)
-        self.pairs = pairs = SeatedPairs(
-            strong=strong, weak=weak, g_s=gamma[strong], g_w=gamma[weak],
-            noise=ch.pair_noise[0].reshape(-1)[sel],
-            scale=self.sic_scale.reshape(-1)[sel],
-            mask_s=mask[strong], mask_w=mask[weak])
+        (bool (M, K, N)) places on the pair's (m, n).  Sets ``pairs``, their
+        residual normaliser ``sic_norm`` and the ``step_rule`` over them."""
+        cfg = self.cfg
+        self.pairs = pairs = model.support_pairs(self.ch, seating)
+        scale = self.scale_at_mask(pairs)
+        mask_s, mask_w = pairs.sides(cfg.p_mask)
+        self.sic_norm = scale * mask_s * mask_w
         cap = cfg.tolerances.dual_cap
         self.step_rule = StepRule(
-            zeta_step=np.full(k_count, _RATE_GAIN / self.rate_scale),
+            zeta_step=np.full(self.shape[1], _RATE_GAIN / self.rate_scale),
             sic_step=(_SIC_GAIN * self.den_scale
-                      / (self.p_ref * pairs.scale**2 * pairs.mask_s * pairs.mask_w
-                         + 1e-300)),
+                      / (self.p_ref * scale**2 * mask_s * mask_w + 1e-300)),
             zeta_cap=cap,
             sic_cap=cap * self.den_scale / self.p_ref,
         )
@@ -731,8 +702,7 @@ class _SolveContext:
         if len(pairs):
             zt = duals.zeta_t
             p_s, p_w = p.reshape(-1)[fs], p.reshape(-1)[fw]
-            # model.sic_bracket over the seated pairs
-            bracket = pairs.noise + pairs.g_w * cross.reshape(-1)[fs]
+            bracket = pairs.bracket(cross.reshape(-1)[fs])
 
             if zt.any():
                 den_sic = (_scatter(fs, zt * p_w * bracket, self.shape)
@@ -783,8 +753,7 @@ class _SolveContext:
         max_violation = max(
             float(np.max(budget / cfg.p_max, initial=-np.inf)),
             float(np.max(rate, initial=-np.inf)),
-            float(np.max(sic_slack / (pairs.scale * pairs.mask_s * pairs.mask_w),
-                         initial=-np.inf)),
+            float(np.max(sic_slack / self.sic_norm, initial=-np.inf)),
         )
         slacks = ConstraintSlacks(rate=rate, sic=sic_slack)
         return _Snapshot(num=num, den=den, slacks=slacks, objective=objective,
@@ -859,6 +828,11 @@ class _SolveContext:
                 if ok and not removed.any():
                     break
             _trim_streaming(q, ch, cfg, self.min_rates)
+            t = times.lap("trim", t)
+            # a trim moves the cross interference at other heads, which can
+            # turn a cancellation margin positive
+            self._repair_sic(q)
+            t = times.lap("repair_sic", t)
             rates = model.per_user_rate(PowerAllocation(p=q), ch, cfg)
             ok = bool(np.all(rates[self.streaming]
                              >= self.min_rates[self.streaming]
@@ -870,23 +844,23 @@ class _SolveContext:
         """Silence one side of any active pair whose cancellation margin is
         positive, preferring to drop an elastic partner over a streaming one;
         iterates because removals change the cross interference.  Returns the
-        mask of cells zeroed."""
-        cfg, ch = self.cfg, self.ch
+        mask of cells zeroed.  The pairs are those of q's support on entry:
+        removals only shrink it."""
+        cfg = self.cfg
         removed = np.zeros_like(q, dtype=bool)
-        strong_idx, weak_idx = ch.pairs
+        pairs = model.support_pairs(self.ch, q > 0)
+        band = 0.5 * cfg.tolerances.c14_rel_tol * self.scale_at_mask(pairs)
         # drop the weak side unless only the strong side is elastic
-        drop_idx = np.where(~self.elastic[weak_idx] & self.elastic[strong_idx],
-                            strong_idx, weak_idx)
+        e_s, e_w = pairs.sides(np.broadcast_to(self.elastic[:, None], self.shape))
+        drop = np.where(e_s & ~e_w, pairs.strong, pairs.weak)
         for _ in range(cfg.n_users + 1):
-            omega, _ = model.pair_margins(ch, cross_interference(q, ch))
-            bad = (ch.strong_side(q) > 0) & (ch.weak_side(q) > 0) & (
-                omega > 0.5 * cfg.tolerances.c14_rel_tol * self.sic_scale)
+            omega, _ = model.pair_margins(pairs, cross_interference(q, self.ch))
+            q_s, q_w = pairs.sides(q)
+            bad = (q_s > 0) & (q_w > 0) & (omega > band)
             if not bad.any():
                 return removed
-            m_idx, q_idx, n_idx = np.nonzero(bad)
-            k_idx = drop_idx[m_idx, q_idx, n_idx]
-            q[m_idx, k_idx, n_idx] = 0.0
-            removed[m_idx, k_idx, n_idx] = True
+            q.flat[drop[bad]] = 0.0
+            removed.flat[drop[bad]] = True
         return removed
 
 

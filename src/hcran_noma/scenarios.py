@@ -370,10 +370,11 @@ def grid_oracle(inst: TinyInstance, levels: int = 20) -> float:
         ok &= np.all(per_user[:, streaming] >= min_rates[None, streaming]
                      - cfg.tolerances.c13_rate_tol, axis=1)
 
-    p_s, p_w = ch.strong_side(p), ch.weak_side(p)
-    omega, scale = model.pair_margins(ch, model.cross_interference(p, ch))
+    pairs = model.support_pairs(ch, np.ones(shape, dtype=bool))
+    p_s, p_w = pairs.sides(p)
+    omega, scale = model.pair_margins(pairs, model.cross_interference(p, ch))
     bad = p_s * p_w * omega > cfg.tolerances.c14_rel_tol * p_s * p_w * scale
-    ok &= ~bad.any(axis=(1, 2, 3))
+    ok &= ~bad.any(axis=1)
 
     if not ok.any():
         return float("-inf")

@@ -247,57 +247,76 @@ class TestEnergyEfficiency:
 class TestDecodeOrder:
     def test_built_once_per_channel(self, monkeypatch):
         # the decode order depends on the gains alone: one solve plus the
-        # feasibility check must build the mask, the oriented pairs and the
-        # pair constants once
-        names = ("stronger", "pairs", "pair_gains", "pair_noise")
+        # feasibility check must build the mask once
+        build = ChannelState.__dict__["stronger"].func
         builds = []
-        for name in names:
-            build = ChannelState.__dict__[name].func
 
-            def counted(ch, build=build, name=name):
-                builds.append((name, id(ch)))
-                return build(ch)
+        def counted(ch):
+            builds.append(id(ch))
+            return build(ch)
 
-            prop = functools.cached_property(counted)
-            prop.__set_name__(ChannelState, name)
-            monkeypatch.setattr(ChannelState, name, prop)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(ChannelState, "stronger")
+        monkeypatch.setattr(ChannelState, "stronger", prop)
         cfg = make_config(m=2, k=4, n=4, streaming=(0,))
         ch = make_channel(cfg, seed=3)
         trace = dinkelbach.solve(ch, cfg, ScaleSolver())
         check_feasibility(trace.final_allocation, ch, cfg)
-        assert sorted(builds) == sorted((name, id(ch)) for name in names)
+        assert builds == [id(ch)]
 
-    def test_pair_gathers_over_leading_axes(self):
-        cfg = make_config(m=2, k=4, n=3)
-        ch = make_channel(cfg, seed=8)
-        strong_idx, weak_idx = ch.pairs
-        x = np.random.default_rng(9).uniform(size=(5,) + ch.gamma.shape)
-        s, w = ch.strong_side(x), ch.weak_side(x)
-        assert s.shape == w.shape == (5,) + strong_idx.shape
-        for g, m, q, n in itertools.product(range(5), range(2), range(6), range(3)):
-            assert s[g, m, q, n] == x[g, m, strong_idx[m, q, n], n]
-            assert w[g, m, q, n] == x[g, m, weak_idx[m, q, n], n]
-        # leading axes change nothing per slice
-        omega, scale = model.pair_margins(ch, x)
-        omega1, scale1 = model.pair_margins(ch, x[3])
-        assert np.array_equal(omega[3], omega1) and np.array_equal(scale[3], scale1)
+    @staticmethod
+    def _channel_and_support(m, k, n, seed, ties):
+        rng = np.random.default_rng(seed)
+        shape = (m, k, n)
+        if ties:
+            gamma = rng.choice([1e-8, 1e-7], size=shape)
+        else:
+            gamma = rng.exponential(1e-7, shape)
+        sigma = rng.uniform(1e-14, 1e-13, shape)
+        support = rng.uniform(size=shape) < rng.choice([0.3, 0.7, 1.0])
+        return ChannelState(gamma=gamma, sigma=sigma), support, rng
 
-    def test_pairs_follow_the_mask(self):
-        cfg = make_config(m=2, k=4, n=3)
-        # all gains tied (the lower index decodes first), then random gains
-        for ch in (uniform_channel(cfg, 1.0), make_channel(cfg, seed=5)):
-            strong_idx, weak_idx = ch.pairs
-            assert strong_idx.shape == (2, 6, 3)
-            for m, q, n in itertools.product(range(2), range(6), range(3)):
-                assert ch.stronger[m, strong_idx[m, q, n], weak_idx[m, q, n], n]
-            pairs = {(min(a, b), max(a, b)) for a, b in zip(strong_idx[0, :, 0],
-                                                            weak_idx[0, :, 0])}
-            assert pairs == set(itertools.combinations(range(4), 2))
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 3), k=st.integers(1, 5), n=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    @example(m=2, k=1, n=3, seed=0, ties=True)  # one user: no pairs
+    def test_support_pairs_match_brute_force(self, m, k, n, seed, ties):
+        # every pair of supported users on one (m, n), in (m, a, b, n)
+        # order, oriented by ch.stronger (ties toward the lower index)
+        ch, support, _ = self._channel_and_support(m, k, n, seed, ties)
+        expected = []
+        for mm, a, b, nn in itertools.product(range(m), range(k), range(k), range(n)):
+            if a < b and support[mm, a, nn] and support[mm, b, nn]:
+                s, w = (a, b) if ch.stronger[mm, a, b, nn] else (b, a)
+                expected.append((mm, s, w, nn))
+        pairs = model.support_pairs(ch, support)
+        assert len(pairs) == len(expected)
+        m_s, k_s, n_s = np.unravel_index(pairs.strong, support.shape)
+        m_w, k_w, n_w = np.unravel_index(pairs.weak, support.shape)
+        assert np.array_equal(m_s, m_w) and np.array_equal(n_s, n_w)
+        assert list(zip(m_s.tolist(), k_s.tolist(), k_w.tolist(), n_s.tolist())) == expected
+        g_s, g_w = ch.gamma[m_s, k_s, n_s], ch.gamma[m_w, k_w, n_w]
+        s_s, s_w = ch.sigma[m_s, k_s, n_s], ch.sigma[m_w, k_w, n_w]
+        assert np.array_equal(pairs.g_s, g_s) and np.array_equal(pairs.g_w, g_w)
+        assert np.array_equal(pairs.noise, g_w * s_s - g_s * s_w)
+        assert np.array_equal(pairs.noise_scale, g_w * s_s + g_s * s_w)
 
-    def test_single_user_has_no_pairs(self):
-        ch = uniform_channel(make_config(m=2, k=1, n=3), 1.0)
-        strong_idx, weak_idx = ch.pairs
-        assert strong_idx.shape == weak_idx.shape == (2, 0, 3)
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 3), k=st.integers(1, 5), n=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_pair_margins_over_leading_axes(self, m, k, n, seed, ties):
+        # a (5, M, K, N) stack gives exactly what its slices give
+        ch, support, rng = self._channel_and_support(m, k, n, seed, ties)
+        pairs = model.support_pairs(ch, support)
+        x = rng.uniform(size=(5, m, k, n))
+        x_s, x_w = pairs.sides(x)
+        omega, scale = model.pair_margins(pairs, x)
+        assert omega.shape == scale.shape == x_s.shape == (5, len(pairs))
+        for g in range(5):
+            assert np.array_equal(x_s[g], x[g].reshape(-1)[pairs.strong])
+            assert np.array_equal(x_w[g], x[g].reshape(-1)[pairs.weak])
+            omega1, scale1 = model.pair_margins(pairs, x[g])
+            assert np.array_equal(omega[g], omega1) and np.array_equal(scale[g], scale1)
 
 
 class TestSicMargin:
@@ -388,18 +407,21 @@ class TestFeasibility:
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(1, 3), k=st.integers(1, 4), n=st.integers(1, 3),
-           seed=st.integers(0, 2**32 - 1), ties=st.booleans())
-    def test_c10_c14_match_scalar_loops(self, m, k, n, seed, ties):
+           seed=st.integers(0, 2**32 - 1), ties=st.booleans(), dense=st.booleans())
+    def test_c10_c14_match_scalar_loops(self, m, k, n, seed, ties, dense):
+        # dense powers every user on every (m, n): the checker accepts any
+        # allocation, not only exclusive ones
         cfg = make_config(m=m, k=k, n=n)
         rng = np.random.default_rng(seed)
         shape = (m, k, n)
         if ties:  # equal gains and equal per-head power peaks
             gamma = rng.choice([1e-8, 1e-7, 1e-6], size=shape)
-            p = cfg.p_mask * rng.choice([0.0, 0.5, 1.0], size=shape)
+            p = cfg.p_mask * rng.choice([0.5, 1.0] if dense else [0.0, 0.5, 1.0],
+                                        size=shape)
         else:
             gamma = rng.exponential(1e-7, shape) * 10 ** rng.uniform(-2, 2, shape)
             p = (cfg.p_mask * 10 ** rng.uniform(-4, 0, shape)
-                 * (rng.uniform(size=shape) < 0.7))
+                 * (dense | (rng.uniform(size=shape) < 0.7)))
         sigma = np.full(shape, cfg.noise_density * cfg.subcarrier_bandwidth)
         ch = ChannelState(gamma=gamma, sigma=sigma)
         alloc = PowerAllocation(p=p)
@@ -420,10 +442,9 @@ class TestFeasibility:
             pp = p[mm, i, nn] * p[mm, j, nn]
             if pp * omega > band_tol * pp * scale:
                 expected[(mm, i, j, nn)] = pp * omega
-        got = {v.index: v.magnitude for v in report.by_constraint("C14")}
-        assert got.keys() == expected.keys()
-        for idx, lhs in expected.items():
-            assert got[idx] == pytest.approx(lhs, rel=1e-12)
+        # same indices, (m, strong, weak, n) order and magnitudes
+        got = [(v.index, v.magnitude) for v in report.by_constraint("C14")]
+        assert got == list(expected.items())
 
         # C10: every user with a cross-head power product above rho1
         best = {}

@@ -106,12 +106,13 @@ class TestSicTangent:
     @staticmethod
     def _residual_and_truth(ctx, p, p_lin):
         ch = ctx.ch
+        ctx.seat(np.ones(p.shape, dtype=bool))
         coeffs = coeffs_at(p_lin, ch)
         slack = ctx.analyze(p, ctx.fresh_duals(), coeffs, ctx.linearize(p_lin)).slacks.sic
-        # a fresh context seats every entry, so its pairs are ch.pairs in order
-        omega, scale = model.pair_margins(ch, model.cross_interference(p, ch))
-        pair_power = ch.strong_side(p) * ch.weak_side(p)
-        return slack, (pair_power * omega).reshape(-1), (pair_power * scale).reshape(-1)
+        omega, scale = model.pair_margins(ctx.pairs, model.cross_interference(p, ch))
+        p_s, p_w = ctx.pairs.sides(p)
+        pair_power = p_s * p_w
+        return slack, pair_power * omega, pair_power * scale
 
     def test_tight_at_expansion_point(self):
         cfg = make_config(m=2, k=3, n=2)
@@ -145,6 +146,7 @@ def _mid_solve_state(seed=10, m=2, k=4, n=3, streaming=(0,)):
     p = rng.uniform(1e-4, 1.0, ch.gamma.shape) * cfg.p_mask
     p_lin = rng.uniform(1e-4, 1.0, ch.gamma.shape) * cfg.p_mask
     ctx = _SolveContext(ch, cfg, e=rng.uniform(0.1, 2.0))
+    ctx.seat(np.ones(ch.gamma.shape, dtype=bool))
 
     duals = ctx.fresh_duals()
     duals.xi = rng.uniform(0, 5.0, m)
@@ -208,10 +210,12 @@ class TestSeatedPairs:
         rng = np.random.default_rng(seed)
         heads = rng.integers(0, m, size=k)
         full = _SolveContext(ch, cfg, e=rng.uniform(0.0, 2.0))
+        full.seat(np.ones(ch.gamma.shape, dtype=bool))
         seating = greedy_init(cfg, ch, heads) > full.p_floor
         seated = _SolveContext(ch, cfg, e=full.e)
         seated.seat(seating)
-        sel = np.flatnonzero(ch.strong_side(seating) & ch.weak_side(seating))
+        s_seated, w_seated = full.pairs.sides(seating)
+        sel = np.flatnonzero(s_seated & w_seated)
         assert np.array_equal(full.pairs.strong[sel], seated.pairs.strong)
         assert np.array_equal(full.pairs.weak[sel], seated.pairs.weak)
 
@@ -496,6 +500,17 @@ class TestInnerSolve:
         ch = make_channel(cfg, seed=50)
         res = ScaleSolver().solve_fixed_e(ch, cfg, e=0.5)
         assert res.stats.fixed_point_residual < cfg.tolerances.varpi1_rel * 10
+
+    @pytest.mark.parametrize("cfg_seed, m_f, channel_seed", [(27, 5, 36), (47, 2, 47)])
+    def test_last_trim_keeps_the_cancellation_order(self, cfg_seed, m_f, channel_seed):
+        # the repair's last streaming trim moves the cross interference at
+        # other heads, which on these draws turns one pair's margin positive
+        cfg = build_config("hcran", k_total=32, k_streaming=8,
+                           rng=np.random.default_rng(cfg_seed), m_f=m_f, n_subcarriers=8)
+        ch = gen_channel(cfg, channel_seed)
+        res = ScaleSolver().solve_fixed_e(ch, cfg, e=0.0)
+        assert res.status == "ok"
+        assert model.check_feasibility(res.allocation, ch, cfg).ok
 
     def test_infeasible_detection(self):
         cfg = make_config(m=1, k=2, n=1, streaming=(0,), bandwidth=1e-3)
