@@ -318,6 +318,28 @@ class TestDecodeOrder:
             omega1, scale1 = model.pair_margins(pairs, x[g])
             assert np.array_equal(omega[g], omega1) and np.array_equal(scale[g], scale1)
 
+    def test_pairs_follow_the_mask(self):
+        cfg = make_config(m=2, k=4, n=3)
+        # all gains tied (the lower index decodes first), then random gains
+        for ch in (uniform_channel(cfg, 1.0), make_channel(cfg, seed=5)):
+            full = np.ones(ch.gamma.shape, dtype=bool)
+            pairs = model.support_pairs(ch, full)
+            assert len(pairs) == 2 * 6 * 3
+            m_s, k_s, n_s = np.unravel_index(pairs.strong, full.shape)
+            m_w, k_w, n_w = np.unravel_index(pairs.weak, full.shape)
+            assert np.array_equal(m_s, m_w) and np.array_equal(n_s, n_w)
+            assert ch.stronger[m_s, k_s, k_w, n_s].all()
+            for m, n in itertools.product(range(2), range(3)):
+                here = (m_s == m) & (n_s == n)
+                found = {(min(a, b), max(a, b)) for a, b in zip(k_s[here], k_w[here])}
+                assert found == set(itertools.combinations(range(4), 2))
+
+    def test_single_user_has_no_pairs(self):
+        ch = uniform_channel(make_config(m=2, k=1, n=3), 1.0)
+        pairs = model.support_pairs(ch, np.ones(ch.gamma.shape, dtype=bool))
+        assert len(pairs) == 0
+        assert pairs.strong.shape == pairs.weak.shape == (0,)
+
 
 class TestSicMargin:
     def test_symmetric_zero(self):
