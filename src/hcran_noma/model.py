@@ -24,14 +24,18 @@ list, oriented by the same tie rule, with their constants, and
 pairs its start seats, the repair those of its current support, the checker
 those of the powered entries, and the desk-scale oracles every pair.
 
-This module owns the interference sums, and each takes powers with any
-leading axes (..., M, K, N): ``other_heads`` sums over the other heads with
-the own head at an exact zero weight, ``cross_interference`` is the power
-received from the other heads, ``noise_floor`` adds the same-head stronger
-users and the noise, and ``weaker_sum`` is the adjoint same-head sum.  The
-SINR, the rates, the inner solver's sweep, the polyblock bounds and the grid
-oracle all read them; of the interference sums only ``noise_floor`` and
-``weaker_sum`` (with ``user_rate_curve``'s one-user column) read the
+This module owns the interference sums.  Over the dense arrays each takes
+powers with any leading axes (..., M, K, N): ``other_heads`` sums over the
+other heads with the own head at an exact zero weight,
+``cross_interference`` is the power received from the other heads, and
+``noise_floor`` adds the same-head stronger users and the noise.  The SINR,
+the rates, the checker, the polyblock bounds and the grid oracle read them.
+The inner solver's sweeps read ``SeatedEntries`` instead: the entries of a
+support as one flat list (``seated_entries``), whose floor and adjoint
+same-head and other-head sums run over the support's pairs and over one
+link per entry and other head, so they cost O(M*E + L) for E entries and L
+pairs and count nothing off the support.  Of the interference sums only
+``noise_floor`` and ``user_rate_curve``'s one-user column read the
 ``stronger`` mask.
 """
 
@@ -302,6 +306,104 @@ def support_pairs(ch: ChannelState, support: np.ndarray) -> SupportPairs:
                         noise=g_w * s_s - g_s * s_w, noise_scale=g_w * s_s + g_s * s_w)
 
 
+@dataclass(frozen=True)
+class SeatedEntries:
+    """The entries of a support (``seated_entries``) as one flat list, with
+    the index lists that the interference sums over them run on.  Every (E,)
+    array holds one value per entry, in flat (M, K, N) order; the sums take
+    and return such arrays and count everything off the support as zero.
+
+    The same-head sums run over the support's pairs, whose members are
+    stored as positions into the list.  The other-head sums run over the
+    links, one per entry and other head j, each carrying head j's gain to
+    the entry's user on the entry's subcarrier, so the own head enters with
+    an exact zero weight."""
+
+    flat: np.ndarray         # (E,) flat (M, K, N) index, rising
+    head: np.ndarray         # (E,) the entry's m and k
+    user: np.ndarray
+    cell: np.ndarray         # (E,) the entry's (m, n) as m*N + n
+    gamma: np.ndarray        # (E,) own-head gain and noise
+    sigma: np.ndarray
+    pairs: SupportPairs      # the support's pairs, members as flat indices
+    strong: np.ndarray       # (L,) the same members as positions in the list
+    weak: np.ndarray
+    link_entry: np.ndarray   # (X,) the entry of each (other head j, entry) link
+    link_cell: np.ndarray    # (X,) (j, n) as j*N + n
+    link_gain: np.ndarray    # (X,) gamma[j, k, n] for the entry's k and n
+    n_cells: int             # M*N
+
+    def __len__(self) -> int:
+        return self.flat.size
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        """(..., E): the entries of x (..., M, K, N)."""
+        return x.reshape(*x.shape[:-3], -1)[..., self.flat]
+
+    def from_pairs(self, at_strong: np.ndarray | None,
+                   at_weak: np.ndarray | None = None) -> np.ndarray:
+        """(E,) per-pair values (L,) summed onto the pairs' members:
+        at_strong onto each pair's strong member, at_weak onto its weak one."""
+        out = np.zeros(len(self))
+        for pos, x in ((self.strong, at_strong), (self.weak, at_weak)):
+            if x is not None:
+                out += np.bincount(pos, weights=x, minlength=len(self))
+        return out
+
+    def cross(self, x: np.ndarray) -> np.ndarray:
+        """(E,) the sum over the other heads j of gamma[j, k, n] times the
+        total of x over head j's entries on n; of powers, the cross
+        interference (``cross_interference``)."""
+        totals = np.bincount(self.cell, weights=x, minlength=self.n_cells)
+        return np.bincount(self.link_entry, weights=self.link_gain * totals[self.link_cell],
+                           minlength=len(self))
+
+    def adjoint_cross(self, x: np.ndarray) -> np.ndarray:
+        """(E,) the adjoint of ``cross``: at entry (m, k, n), the sum of
+        gamma[m, l, n] * x over the entries (j, l, n) of the other heads."""
+        at_cell = np.bincount(self.link_cell, weights=self.link_gain * x[self.link_entry],
+                              minlength=self.n_cells)
+        return at_cell[self.cell]
+
+    def adjoint_same(self, x: np.ndarray) -> np.ndarray:
+        """(E,) the sum of x over the entries of the same (m, n) that the
+        entry's signal interferes with (those decoded after it), the adjoint
+        of the stronger-user sum in ``noise_floor``."""
+        return self.from_pairs(x[self.weak])
+
+    def noise_floor(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(floor, cross), both (E,): what ``noise_floor`` gives at the
+        entries when p is zero off the support."""
+        cross = self.cross(p)
+        same = self.from_pairs(None, p[self.strong])
+        return self.sigma + self.gamma * same + cross, cross
+
+
+def seated_entries(ch: ChannelState, support: np.ndarray) -> SeatedEntries:
+    """The entries of the bool (M, K, N) support, with their pairs
+    (``support_pairs``) and other-head links.  Costs O(M*E + L log E) for
+    E entries and L pairs on top of ``support_pairs``."""
+    m_count, k_count, n_count = ch.gamma.shape
+    flat = np.flatnonzero(support)
+    head, rest = np.divmod(flat, k_count * n_count)
+    sub = rest % n_count
+    pairs = support_pairs(ch, support)
+    # every head but the entry's own, in rising order
+    others = np.arange(m_count - 1)[None, :]
+    others = others + (others >= head[:, None])
+    link_entry = np.repeat(np.arange(flat.size), m_count - 1)
+    link_head = others.reshape(-1)
+    gamma = ch.gamma.reshape(-1)
+    return SeatedEntries(
+        flat=flat, head=head, user=rest // n_count, cell=head * n_count + sub,
+        gamma=gamma[flat], sigma=ch.sigma.reshape(-1)[flat],
+        pairs=pairs, strong=np.searchsorted(flat, pairs.strong),
+        weak=np.searchsorted(flat, pairs.weak), link_entry=link_entry,
+        link_cell=link_head * n_count + sub[link_entry],
+        link_gain=gamma[flat[link_entry] + (link_head - head[link_entry]) * k_count * n_count],
+        n_cells=m_count * n_count)
+
+
 @dataclass
 class PowerAllocation:
     """Continuous transmit powers plus (optionally) derived binary indicators."""
@@ -342,13 +444,6 @@ def cross_interference(p: np.ndarray, ch: ChannelState) -> np.ndarray:
     """(..., M, K, N): total power received at user k (channel of RRH m)
     from all users of every other RRH on the same subcarrier."""
     return other_heads(p.sum(axis=-2, keepdims=True) * ch.gamma)
-
-
-def weaker_sum(x: np.ndarray, ch: ChannelState) -> np.ndarray:
-    """(..., M, K, N): sum of x over the same-head users that k's signal
-    interferes with (those k decodes after), the adjoint of the stronger-user
-    sum in ``noise_floor``."""
-    return np.einsum("mkln,...mln->...mkn", ch.stronger, x)
 
 
 def noise_floor(p: np.ndarray, ch: ChannelState) -> tuple[np.ndarray, np.ndarray]:

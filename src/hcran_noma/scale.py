@@ -34,19 +34,21 @@ exactly along the trajectory and need no multipliers.  Desk-scale instances
 run several head assignments (all of them when there are few) and keep the
 best result.
 
-The seating also fixes which cancellation-order pairs can carry power: the
-pairs whose two members share a seated (m, n), at most C(l_max, 2) per
-(m, n) instead of K(K-1)/2.  Each start lists those pairs once
-(``model.support_pairs`` in ``_SolveContext.seat``), and the linearization,
-the per-sweep analysis, the step sizes and the cancellation-order
-multipliers run over that list alone.  The repair lists the pairs of its
-current support the same way, and the feasibility check those of the
-powered entries.
+The seating also fixes which entries and which cancellation-order pairs
+can carry power: every unseated entry stays at the log floor, and the pairs
+are those whose two members share a seated (m, n), at most C(l_max, 2) per
+(m, n) instead of K(K-1)/2.  Each start lists its E seated entries and
+their pairs once (``model.seated_entries`` in ``_SolveContext.seat``), and
+every sweep (the analysis, the budget-multiplier solve, the closed-form
+update and its step test) runs on flat (E,) and (L,) arrays; the (M, K, N)
+iterate is built at round ends only, for the bound refresh and the round
+tests.  The repair lists the pairs of its current support the same way,
+and the feasibility check those of the powered entries.
 
-The interference floor and the same-head adjoint sum come from ``model``
-(``noise_floor``, ``weaker_sum``).  The per-sweep analysis keeps its four
-adjoint other-head sums as an all-head total minus the own head: the
-trajectory is sensitive to their rounding (see ``_SolveContext.analyze``).
+Every interference sum comes from ``model``: the sweep's from the seated
+entry list (its floor, and the adjoint same-head and other-head sums),
+which reads neither the decode-order mask nor any unseated entry, and the
+round-level rates from ``model``'s (M, K, N) rate chain.
 
 The printed closed-form updates this solver descends from show inconsistent
 index patterns in their pressure sums, so all terms here are derived directly
@@ -99,8 +101,8 @@ _TRIM_PASSES = 2
 class ScaleCoefficients:
     """Per-entry bound coefficients: alpha*log2(z) + beta <= log2(1+z)."""
 
-    alpha: np.ndarray  # (M, K, N), in (0, 1]
-    beta: np.ndarray   # (M, K, N), bits
+    alpha: np.ndarray  # (M, K, N), or (E,) at a start's seated entries; in (0, 1]
+    beta: np.ndarray   # the same shape, bits
 
 
 def scale_coeffs(z0):
@@ -211,108 +213,6 @@ def dual_update(duals: DualState, slacks: ConstraintSlacks, step: StepRule,
 
 
 # ---------------------------------------------------------------------------
-# scalar reference updates (independent of the vectorized sweep)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SweepState:
-    """What a sweep reads: current powers plus the round's linearization
-    reference (the point the cancellation constraint was expanded at)."""
-
-    p: np.ndarray
-    p_lin: np.ndarray
-
-
-def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficients,
-                     ch: ChannelState, cfg: NetworkConfig, m: int, k: int, n: int):
-    """Numerator/denominator contributions for one (m, k, n), written as plain
-    loops over the stationarity terms.  Reference evaluator: the solver's
-    vectorized sweep must reproduce these numbers."""
-    p, p_lin = state.p, state.p_lin
-    m_count, k_count, _ = p.shape
-    strong = ch.stronger
-    zeta_of = np.where(cfg.elastic_mask(), 1.0, duals.zeta)
-    cross = cross_interference(p, ch)
-    floor = ch.sigma + ch.gamma * np.einsum("mikn,min->mkn", strong, p) + cross
-
-    # rate pressure from same-RRH weaker users (their floor contains p[m,k,n])
-    psi_same = 0.0
-    for l in range(k_count):
-        if l != k and strong[m, k, l, n]:
-            psi_same += (cfg.weights[m, l] * zeta_of[l] * coeffs.alpha[m, l, n]
-                         * ch.gamma[m, l, n] / (floor[m, l, n] * LN2))
-    # rate pressure from every user of every other RRH
-    psi_cross = 0.0
-    for mp in range(m_count):
-        if mp == m:
-            continue
-        for l in range(k_count):
-            psi_cross += (cfg.weights[mp, l] * zeta_of[l] * coeffs.alpha[mp, l, n]
-                          * ch.gamma[m, l, n] / (floor[mp, l, n] * LN2))
-
-    # cancellation-order pressure: the numerator collects the tangent
-    # components of the linearized concave part, the denominator the
-    # (power-proportional) derivative of the kept convex part.
-    num_sic = 0.0
-    den_sic = 0.0
-    cross_lin = cross_interference(p_lin, ch)
-    pairs = duals.pairs
-    for i in range(len(pairs)):
-        mm, a, nn = np.unravel_index(pairs.strong[i], p.shape)
-        b = np.unravel_index(pairs.weak[i], p.shape)[1]
-        zt = float(duals.zeta_t[i])
-        if nn != n or zt == 0.0:
-            continue
-        g_a, g_b = ch.gamma[mm, a, n], ch.gamma[mm, b, n]
-        bracket = (g_b * ch.sigma[mm, a, n] - g_a * ch.sigma[mm, b, n]
-                   + g_b * cross[mm, a, n])
-        g_lin_val = g_a * p_lin[mm, a, n] * p_lin[mm, b, n] * cross_lin[mm, b, n]
-        if mm == m and k in (a, b):
-            den_sic += zt * p[m, b if k == a else a, n] * bracket
-            num_sic += zt * g_lin_val
-        elif mm != m:
-            den_sic += zt * p[mm, a, n] * p[mm, b, n] * g_b * ch.gamma[m, a, n]
-            num_sic += (zt * g_a * p_lin[mm, a, n] * p_lin[mm, b, n]
-                        * p_lin[m, k, n] * ch.gamma[m, b, n])
-    return psi_same, psi_cross, num_sic, den_sic
-
-
-def elastic_power_update(state: SweepState, duals: DualState, coeffs: ScaleCoefficients,
-                         ch: ChannelState, cfg: NetworkConfig, e: float,
-                         m: int, k: int, n: int) -> float:
-    """Closed-form stationarity solution for one elastic entry, clamped to
-    [0, mask].  A non-positive denominator means nothing bounds the ascent,
-    so the mask is returned."""
-    psi_same, psi_cross, num_sic, den_sic = _entry_pressures(
-        state, duals, coeffs, ch, cfg, m, k, n)
-    num = cfg.weights[m, k] * coeffs.alpha[m, k, n] / LN2 + num_sic
-    den = e * cfg.eta[m] + duals.xi[m] + psi_same + psi_cross + den_sic
-    if num <= 0:
-        return 0.0
-    if den <= 0:
-        return float(cfg.p_mask[m, k, n])
-    return float(np.clip(num / den, 0.0, cfg.p_mask[m, k, n]))
-
-
-def streaming_power_update(state: SweepState, duals: DualState, coeffs: ScaleCoefficients,
-                           ch: ChannelState, cfg: NetworkConfig,
-                           m: int, k: int, n: int) -> float:
-    """Closed-form update for one streaming entry: same structure as the
-    elastic case, except the rate term is scaled by the user's minimum-rate
-    multiplier and the amplifier term is absent (streaming power does not
-    enter the efficiency objective's power model)."""
-    psi_same, psi_cross, num_sic, den_sic = _entry_pressures(
-        state, duals, coeffs, ch, cfg, m, k, n)
-    num = duals.zeta[k] * cfg.weights[m, k] * coeffs.alpha[m, k, n] / LN2 + num_sic
-    den = duals.xi[m] + psi_same + psi_cross + den_sic
-    if num <= 0:
-        return 0.0
-    if den <= 0:
-        return float(cfg.p_mask[m, k, n])
-    return float(np.clip(num / den, 0.0, cfg.p_mask[m, k, n]))
-
-
-# ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
 
@@ -361,11 +261,6 @@ class InnerResult:
     stats: SolveStats
 
 
-def _scatter(flat_idx: np.ndarray, weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return np.bincount(flat_idx, weights=weights,
-                       minlength=int(np.prod(shape))).reshape(shape)
-
-
 def _closed_form(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
                  floor: float) -> np.ndarray:
     """Vector form of the scalar updates: num/den clamped to the mask, mask on
@@ -378,27 +273,30 @@ def _closed_form(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
 
 
 def _budget_power_sum(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
-                      xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head power S(xi) = sum_kn of the closed-form powers at budget
-    multipliers xi (as ``_closed_form`` without its floor) and dS/dxi, the
-    right derivative: -sum of num/(den_rest + xi)**2 over the entries with
-    num > 0 that sit at or below their mask."""
-    d = den_rest + xi[:, None, None]
+                      head: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head power S(xi), the sum of the closed-form powers of the head's
+    entries at budget multipliers xi (as ``_closed_form`` without its
+    floor), and dS/dxi, the right derivative: -sum of num/(den_rest + xi)**2
+    over the entries with num > 0 that sit at or below their mask.  The
+    entries are flat, each on head ``head``."""
+    d = den_rest + xi[head]
     pos = d > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         raw = num / d     # read only where d > 0; an overflow sits at the mask
         slope = raw / d
     p = np.where(num <= 0, 0.0, np.where(pos, np.minimum(raw, mask), mask))
     free = pos & (num > 0) & (raw <= mask)
-    return p.sum(axis=(1, 2)), -np.where(free, slope, 0.0).sum(axis=(1, 2))
+    return (np.bincount(head, weights=p, minlength=xi.size),
+            -np.bincount(head, weights=np.where(free, slope, 0.0), minlength=xi.size))
 
 
 def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
-                 budget: np.ndarray, warm: np.ndarray | None = None,
+                 head: np.ndarray, budget: np.ndarray, warm: np.ndarray | None = None,
                  stats: "SolveStats | None" = None) -> np.ndarray:
     """Per-RRH budget multipliers solved to complementary slackness: the
-    smallest xi >= 0 with S(xi) = sum_kn clip(num/(den_rest + xi), 0, mask)
-    <= budget, to relative precision _BUDGET_RTOL, from the feasible side.
+    smallest xi >= 0 with S(xi) = sum of clip(num/(den_rest + xi), 0, mask)
+    over the head's entries <= budget, to relative precision _BUDGET_RTOL,
+    from the feasible side.  The entries are flat, each on head ``head``.
 
     S is continuous and nonincreasing, and convex between the points where an
     entry leaves its mask, so a safeguarded Newton solve runs on every head
@@ -414,14 +312,14 @@ def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
     A head that already fits at xi = 0 returns 0.  A head that ends the
     _BUDGET_MAX_EVALS evaluations with no point within its budget returns
     its largest evaluated xi and is counted in ``stats.budget_unbracketed``."""
-    m_count = den_rest.shape[0]
+    m_count = budget.size
     x = np.zeros(m_count) if warm is None else np.maximum(warm, 0.0)
     lo = np.full(m_count, -np.inf)   # largest xi seen over the budget
     hi = np.full(m_count, np.inf)    # smallest xi seen within it
     step = np.full(m_count, np.inf)
     nudge = 0.25 * _BUDGET_RTOL
     for _ in range(_BUDGET_MAX_EVALS):
-        s, ds = _budget_power_sum(num, den_rest, mask, x)
+        s, ds = _budget_power_sum(num, den_rest, mask, head, x)
         over = s > budget
         lo = np.where(over, np.maximum(lo, x), lo)
         hi = np.where(over, hi, np.minimum(hi, x))
@@ -529,20 +427,21 @@ class ScaleSolver:
     def _run_rounds(self, ctx: "_SolveContext", p0: np.ndarray,
                     stats: SolveStats) -> tuple[np.ndarray, list[float], float]:
         """Approximation rounds over one seating.  The seating (entries above
-        the floor) is held by an effective mask; the bound is re-tightened at
-        each round's start, and a round whose sweeps lose surrogate value is
-        rejected, which also keeps the true objective nondecreasing.  Only
-        the pairs the seating holds can carry power, so the sweeps carry
-        those pairs alone."""
+        the floor) is held fixed: every other entry stays at the floor, so
+        the sweeps carry the seated entries and their pairs alone, and the
+        (M, K, N) iterate is built at round ends only.  The bound is
+        re-tightened at each round's start, and a round whose sweeps lose
+        surrogate value is rejected, which also keeps the true objective
+        nondecreasing."""
         cfg, ch = ctx.cfg, ctx.ch
         tol = cfg.tolerances
         times = stats.phases
         t = time.perf_counter()
-        seating = p0 > ctx.p_floor
-        mask_eff = np.where(seating, cfg.p_mask, ctx.p_floor)
-        ctx.seat(seating)
+        ctx.seat(p0 > ctx.p_floor)
+        take = ctx.entries.take
         duals = ctx.fresh_duals()
         p = p0
+        p_e = take(p0)
         xi = np.zeros(cfg.n_rrh)
         eps1 = tol.varpi1_rel * cfg.p_max
         eps2 = tol.varpi2_rel * cfg.p_max
@@ -551,16 +450,18 @@ class ScaleSolver:
 
         for s in range(tol.s_max):
             coeffs = coeffs_at(p, ch)
-            lin = ctx.linearize(p)
+            coeffs_e = ScaleCoefficients(alpha=take(coeffs.alpha), beta=take(coeffs.beta))
+            lin = ctx.linearize(p_e)
             p_round = p
             t = times.lap("rounds", t)
             for v in range(1, tol.v_max + 1):
-                snap = ctx.analyze(p, duals, coeffs, lin)
+                snap = ctx.analyze(p_e, duals, coeffs_e, lin)
                 t = times.lap("analyze", t)
-                xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi, stats)
+                xi = _budget_dual(snap.num, snap.den, ctx.mask, ctx.entries.head,
+                                  cfg.p_max, xi, stats)
                 t = times.lap("budget", t)
-                p_next = ctx.sweep(snap, xi, mask_eff)
-                delta = np.abs(p_next - p).max(axis=(1, 2))
+                p_next = ctx.sweep(snap, xi)
+                delta = ctx.head_max(np.abs(p_next - p_e))
                 t = times.lap("sweep", t)
                 duals = dual_update(duals, snap.slacks, ctx.step_rule, v)
                 duals.xi = xi
@@ -568,14 +469,16 @@ class ScaleSolver:
                 if self.collect_trace:
                     stats.trace.append((s, v, snap.objective, snap.max_violation,
                                         float((delta / cfg.p_max).max())))
-                p = p_next
+                p_e = p_next
                 stats.total_sweeps += 1
                 if v >= _MIN_SWEEPS and np.all(delta < eps1):
                     break
+            p = ctx.full(p_e)
             rejected = ctx.surrogate_objective(p, coeffs) < ctx.surrogate_objective(
                 p_round, coeffs)
             if rejected:
                 p = p_round
+                p_e = take(p)
             round_objs.append(ctx.surrogate_objective(p, coeffs))
             if rejected:
                 break
@@ -588,20 +491,21 @@ class ScaleSolver:
 
         # fixed-point spot check: one more closed-form evaluation at the end
         # point with the final multipliers must reproduce it
-        snap = ctx.analyze(p, duals, coeffs, ctx.linearize(p))
+        snap = ctx.analyze(p_e, duals, coeffs_e, ctx.linearize(p_e))
         t = times.lap("analyze", t)
-        xi = _budget_dual(snap.num, snap.den, mask_eff, cfg.p_max, xi, stats)
+        xi = _budget_dual(snap.num, snap.den, ctx.mask, ctx.entries.head, cfg.p_max, xi, stats)
         t = times.lap("budget", t)
-        p_check = ctx.sweep(snap, xi, mask_eff)
-        residual = float((np.abs(p_check - p).max(axis=(1, 2)) / cfg.p_max).max())
+        p_check = ctx.sweep(snap, xi)
+        residual = float((ctx.head_max(np.abs(p_check - p_e)) / cfg.p_max).max())
         times.lap("sweep", t)
         return p, round_objs, residual
 
 
 class _SolveContext:
     """Everything fixed for one solve_fixed_e call, plus the vectorized
-    per-sweep analysis.  The cancellation-order terms run over the pairs of
-    the current start's seating (``seat``); a new context seats nothing."""
+    per-sweep analysis.  The sweeps run over the entries of the current
+    start's seating and their pairs (``seat``), as flat (E,) and (L,)
+    arrays; a new context seats nothing."""
 
     def __init__(self, ch: ChannelState, cfg: NetworkConfig, e: float):
         self.ch = ch
@@ -635,13 +539,20 @@ class _SolveContext:
         return model.pair_margins(pairs, self.cross_at_mask)[1] + 1e-300
 
     def seat(self, seating: np.ndarray) -> None:
-        """Carry the pairs of one start: those whose two members ``seating``
-        (bool (M, K, N)) places on the pair's (m, n).  Sets ``pairs``, their
-        residual normaliser ``sic_norm`` and the ``step_rule`` over them."""
+        """Carry the entries of one start, those ``seating`` (bool (M, K, N))
+        holds, and their pairs.  Sets ``entries`` and ``pairs``, the entries'
+        config constants, the pairs' residual normaliser ``sic_norm`` and the
+        ``step_rule`` over them."""
         cfg = self.cfg
-        self.pairs = pairs = model.support_pairs(self.ch, seating)
+        self.entries = ent = model.seated_entries(self.ch, seating)
+        self.pairs = pairs = ent.pairs
+        self.mask = ent.take(cfg.p_mask)
+        self.weight = cfg.weights[ent.head, ent.user]
+        self.elastic_e = self.elastic[ent.user]
+        # the amplifier's price of an entry's power; streaming power is free
+        self.e_eta = self.e * cfg.eta[ent.head] * self.elastic_e
         scale = self.scale_at_mask(pairs)
-        mask_s, mask_w = pairs.sides(cfg.p_mask)
+        mask_s, mask_w = self.mask[ent.strong], self.mask[ent.weak]
         self.sic_norm = scale * mask_s * mask_w
         cap = cfg.tolerances.dual_cap
         self.step_rule = StepRule(
@@ -652,6 +563,20 @@ class _SolveContext:
             sic_cap=cap * self.den_scale / self.p_ref,
         )
 
+    def full(self, p: np.ndarray) -> np.ndarray:
+        """The (M, K, N) iterate of the seated powers p (E,): the floor
+        everywhere else."""
+        out = np.full(self.shape, self.p_floor)
+        out.reshape(-1)[self.entries.flat] = p
+        return out
+
+    def head_max(self, x: np.ndarray) -> np.ndarray:
+        """(M,) the largest of x (E,) >= 0 over each head's entries, 0 where
+        a head has none."""
+        out = np.zeros(self.shape[0])
+        np.maximum.at(out, self.entries.head, x)
+        return out
+
     def fresh_duals(self) -> DualState:
         m_count, k_count, _ = self.shape
         zeta = np.zeros(k_count)
@@ -661,95 +586,76 @@ class _SolveContext:
 
     def linearize(self, p_lin: np.ndarray) -> dict:
         """Tangent constants of the subtracted cross-product term for every
-        seated pair, at the round's reference point."""
-        pairs = self.pairs
-        c_w = cross_interference(p_lin, self.ch).reshape(-1)[pairs.weak]
-        flat = p_lin.reshape(-1)
-        gconst = pairs.g_s * flat[pairs.strong] * flat[pairs.weak]
+        seated pair, at the round's reference point p_lin (E,)."""
+        ent = self.entries
+        c_w = ent.cross(p_lin)[ent.weak]
+        gconst = self.pairs.g_s * p_lin[ent.strong] * p_lin[ent.weak]
         return {"p_lin": p_lin, "log_p_lin": np.log(np.maximum(p_lin, _Z_FLOOR)),
                 "gconst": gconst, "g_val": gconst * c_w}
 
     # -- per-sweep analysis ---------------------------------------------------
     def analyze(self, p: np.ndarray, duals: DualState, coeffs: ScaleCoefficients,
                 lin: dict) -> _Snapshot:
-        ch, cfg = self.ch, self.cfg
-        gamma = ch.gamma
+        """The closed-form update's numerator and denominator (without the
+        budget multiplier) and the subgradient residuals at the seated
+        powers p (E,), from the bound coefficients at the entries (E,) and
+        the round's ``linearize``."""
+        cfg, ent = self.cfg, self.entries
 
-        floor, cross = model.noise_floor(p, ch)
+        floor, cross = ent.noise_floor(p)
         inv_floor = 1.0 / floor
-        z = p * gamma * inv_floor
+        z = p * ent.gamma * inv_floor
         r_hat = coeffs.beta + coeffs.alpha * np.log2(np.maximum(z, _Z_FLOOR))
 
         zeta_of = np.where(self.elastic, 1.0, duals.zeta)
-        c_rate = (self.weights * zeta_of[None, :])[:, :, None] * coeffs.alpha
-
-        t_same = c_rate * gamma * inv_floor / LN2
-        psi_same = model.weaker_sum(t_same, ch)
-        # this and the three other adjoint other-head sums below (the cross
-        # part of den_sic, b_term, h_cross) stay as total minus own head: the
-        # trajectory is sensitive to their rounding, and reassociating this
-        # one alone moves the benchmark ladder's mean EE by -0.41 %
+        c_rate = self.weight * zeta_of[ent.user] * coeffs.alpha
         u = c_rate * inv_floor / LN2
-        u_tot = u.sum(axis=0)
-        psi_cross = (np.einsum("mln,ln->mn", gamma, u_tot)
-                     - np.einsum("mln,mln->mn", gamma, u))[:, None, :]
+        psi_same = ent.adjoint_same(u * ent.gamma)
+        psi_cross = ent.adjoint_cross(u)
 
         num_sic = 0.0
         den_sic = 0.0
         pairs = self.pairs
-        fs, fw = pairs.strong, pairs.weak
+        fs, fw = ent.strong, ent.weak
         sic_slack = np.zeros(len(pairs))
         if len(pairs):
             zt = duals.zeta_t
-            p_s, p_w = p.reshape(-1)[fs], p.reshape(-1)[fw]
-            bracket = pairs.bracket(cross.reshape(-1)[fs])
+            p_s, p_w = p[fs], p[fw]
+            bracket = pairs.bracket(cross[fs])
 
             if zt.any():
-                den_sic = (_scatter(fs, zt * p_w * bracket, self.shape)
-                           + _scatter(fw, zt * p_s * bracket, self.shape))
+                den_sic = ent.from_pairs(zt * p_w * bracket, zt * p_s * bracket)
                 # cross denominators: aggregate zt*p_s*p_w*g_w by strong user,
                 # contract against the victim-side channels of other RRHs
-                d_agg = _scatter(fs, zt * p_s * p_w * pairs.g_w, self.shape)
-                d_tot = d_agg.sum(axis=0)
-                den_sic += (np.einsum("an,man->mn", d_tot, gamma)
-                            - np.einsum("man,man->mn", d_agg, gamma))[:, None, :]
-
+                den_sic += ent.adjoint_cross(ent.from_pairs(zt * p_s * p_w * pairs.g_w))
                 own_num = zt * lin["g_val"]
-                num_sic = (_scatter(fs, own_num, self.shape)
-                           + _scatter(fw, own_num, self.shape))
-                a_agg = _scatter(fw, zt * lin["gconst"], self.shape)
-                a_tot = a_agg.sum(axis=0)
-                b_term = (np.einsum("bn,mbn->mn", a_tot, gamma)
-                          - np.einsum("mbn,mbn->mn", a_agg, gamma))[:, None, :]
-                num_sic = num_sic + lin["p_lin"] * b_term
+                b_term = ent.adjoint_cross(ent.from_pairs(None, zt * lin["gconst"]))
+                num_sic = ent.from_pairs(own_num, own_num) + lin["p_lin"] * b_term
 
             # linearized residual for the multiplier update
             dlog = np.log(np.maximum(p, _Z_FLOOR)) - lin["log_p_lin"]
-            f_term = (lin["p_lin"] * dlog).sum(axis=1)             # (M, N)
-            h_full = np.einsum("jn,jbn->bn", f_term, gamma)
-            h_cross = h_full[None, :, :] - f_term[:, None, :] * gamma
-            dlog = dlog.reshape(-1)
+            h_cross = ent.cross(lin["p_lin"] * dlog)
             g_lin = (lin["g_val"] * (1.0 + dlog[fs] + dlog[fw])
-                     + lin["gconst"] * h_cross.reshape(-1)[fw])
+                     + lin["gconst"] * h_cross[fw])
             sic_slack = p_s * p_w * bracket - g_lin
 
         num = c_rate / LN2 + num_sic
         # denominator without the budget multiplier: the sweep solves that
         # multiplier exactly (to complementary slackness), which
         # pins the iterate's scale; every other family stays on subgradients
-        den = ((self.e * cfg.eta)[:, None, None] * self.elastic[None, :, None]
-               + psi_same + psi_cross + den_sic)
+        den = self.e_eta + psi_same + psi_cross + den_sic
 
-        budget = p.sum(axis=(1, 2)) - cfg.p_max
-        r_user = np.einsum("mk,mkn->k", self.weights, r_hat)
+        m_count, k_count, _ = self.shape
+        budget = np.bincount(ent.head, weights=p, minlength=m_count) - cfg.p_max
+        r_user = np.bincount(ent.user, weights=self.weight * r_hat, minlength=k_count)
         # clipped so an entirely unserved user cannot swing its multiplier by
         # hundreds of bits in one step
         rate = np.clip(np.where(self.elastic, 0.0, self.min_rates - r_user),
                        -2.0 * self.rate_scale, 2.0 * self.rate_scale)
 
         objective = float(
-            np.sum(r_hat[:, self.elastic, :] * self.weights[:, self.elastic, None])
-            - self.e * self.power_of(p))
+            np.sum(np.where(self.elastic_e, self.weight * r_hat, 0.0))
+            - self.e * cfg.static_power() - np.dot(self.e_eta, p))
         max_violation = max(
             float(np.max(budget / cfg.p_max, initial=-np.inf)),
             float(np.max(rate, initial=-np.inf)),
@@ -759,9 +665,11 @@ class _SolveContext:
         return _Snapshot(num=num, den=den, slacks=slacks, objective=objective,
                          max_violation=max_violation)
 
-    def sweep(self, snap: _Snapshot, xi: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Closed-form power update from one snapshot and budget multipliers."""
-        return _closed_form(snap.num, snap.den + xi[:, None, None], mask, self.p_floor)
+    def sweep(self, snap: _Snapshot, xi: np.ndarray) -> np.ndarray:
+        """Closed-form update of the seated powers (E,) from one snapshot
+        and budget multipliers."""
+        return _closed_form(snap.num, snap.den + xi[self.entries.head], self.mask,
+                            self.p_floor)
 
     # -- objectives -----------------------------------------------------------
     def power_of(self, p: np.ndarray) -> float:

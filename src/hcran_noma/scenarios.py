@@ -18,7 +18,6 @@ flat -174 dBm/Hz density times the subcarrier bandwidth.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,6 +279,8 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     tasks = [(scenario, value, draw)
              for value in scenario.values for draw in range(scenario.draws)]
     if scenario.workers > 1 and len(tasks) > 1:
+        # imported here: multiprocessing costs every importer memory and time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=scenario.workers) as pool:
             results = list(pool.map(_run_draw_star, tasks, chunksize=1))
     else:

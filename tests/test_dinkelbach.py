@@ -134,8 +134,8 @@ class TestGoldenLadder:
 
     # (M, K, N): (final ratio, summed inner sweeps over the outer iterations)
     PINS = {(3, 12, 32): (90.73843553246901, 82),
-            (3, 24, 64): (182.72935852279474, 675),
-            (4, 32, 64): (161.7468599429409, 610)}
+            (3, 24, 64): (184.10451123519593, 773),
+            (4, 32, 64): (161.76329675783992, 650)}
 
     @pytest.mark.parametrize("size", sorted(PINS), ids=lambda s: "m{}k{}n{}".format(*s))
     def test_pinned(self, size):

@@ -139,8 +139,7 @@ class TestLeadingAxes:
         for f in (lambda x: model.noise_floor(x, ch)[0],
                   lambda x: model.noise_floor(x, ch)[1],
                   lambda x: model.cross_interference(x, ch),
-                  lambda x: model.rate_array(x, ch),
-                  lambda x: model.weaker_sum(x, ch)):
+                  lambda x: model.rate_array(x, ch)):
             stacked = f(p)
             assert stacked.shape == shape
             for b in range(stack):
@@ -161,6 +160,52 @@ class TestLeadingAxes:
         for b, mm, kk, nn in np.ndindex(got.shape):
             exact = math.fsum(x[b, j, kk, nn] for j in range(m) if j != mm)
             assert abs(got[b, mm, kk, nn] - exact) <= 2 * np.spacing(exact), (b, mm, kk, nn)
+
+
+class TestSeatedEntries:
+    """The sweep's sums over a support's flat entry list equal the dense
+    sums, gathered at the support, of powers that are zero off it."""
+
+    @staticmethod
+    def _close(got, expected):
+        return np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 4), k=st.integers(1, 5), n=st.integers(1, 3),
+           density=st.sampled_from([0.0, 0.3, 0.7, 1.0]), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=2, k=1, n=3, density=1.0, ties=False, seed=0)  # one user: no pairs
+    def test_match_the_dense_sums(self, m, k, n, density, ties, seed):
+        rng = np.random.default_rng(seed)
+        shape = (m, k, n)
+        gamma = (rng.choice([1e-8, 1e-7], size=shape) if ties
+                 else rng.exponential(1e-7, shape))
+        ch = ChannelState(gamma=gamma, sigma=rng.uniform(1e-14, 1e-13, shape))
+        support = rng.uniform(size=shape) < density
+        ent = model.seated_entries(ch, support)
+        assert np.array_equal(ent.flat, np.flatnonzero(support))
+        p = np.where(support, rng.uniform(0.0, 1.0, shape), 0.0)
+        x = np.where(support, rng.uniform(0.0, 1.0, shape), 0.0)
+
+        floor, cross = ent.noise_floor(ent.take(p))
+        dense_floor, dense_cross = model.noise_floor(p, ch)
+        assert self._close(floor, ent.take(dense_floor))
+        assert self._close(cross, ent.take(dense_cross))
+
+        # the adjoint same-head sum: x over the users that k decodes after
+        weaker = np.zeros(shape)
+        # the adjoint other-head sum: gamma[m, l, n] * x over other heads' l
+        other = np.zeros(shape)
+        for mm, kk, nn in np.ndindex(shape):
+            for ll in range(k):
+                g_k, g_l = gamma[mm, kk, nn], gamma[mm, ll, nn]
+                if ll != kk and (g_k > g_l or (g_k == g_l and kk < ll)):
+                    weaker[mm, kk, nn] += x[mm, ll, nn]
+                for jj in range(m):
+                    if jj != mm:
+                        other[mm, kk, nn] += gamma[mm, ll, nn] * x[jj, ll, nn]
+        assert self._close(ent.adjoint_same(ent.take(x)), ent.take(weaker))
+        assert self._close(ent.adjoint_cross(ent.take(x)), ent.take(other))
 
 
 class TestUserRateCurve:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hcran_noma
 from hcran_noma.model import ConfigError
 from hcran_noma.scenarios import (PlacementError, Scenario, build_config,
                                   gen_channel, run_draw, run_sweep,
@@ -123,6 +129,16 @@ class TestSweeps:
         serial = run_sweep(self._scenario())
         pooled = run_sweep(self._scenario(workers=2))
         assert serial[0].mean_ee == pooled[0].mean_ee
+
+    def test_import_loads_no_process_pool(self):
+        # only a pooled sweep needs multiprocessing; importing the package
+        # must not pay for it
+        env = dict(os.environ, PYTHONPATH=str(Path(hcran_noma.__file__).parents[1]))
+        code = ("import sys, hcran_noma; print([m for m in ('concurrent.futures.process', "
+                "'multiprocessing') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestTinyInstances:
