@@ -66,6 +66,17 @@ def _whole(key: str, value) -> int | None:
     return int(number)
 
 
+def _values(raw: dict) -> tuple:
+    """The sweep values: a list of numbers (integers stay integers, as with
+    ``--values``), else a named ConfigError; the user count when absent."""
+    values = raw.get("values")
+    if values is None:
+        return (raw.get("users", 12),)
+    if not isinstance(values, list):
+        raise ConfigError(f"values must be a list of numbers, got {values!r}")
+    return tuple(v if isinstance(v, int) else _number("values", v) for v in values)
+
+
 def load_config(path: str | Path | None) -> tuple[NetworkConfig, Scenario]:
     """Parse a YAML config into a validated network (defaults applied) and a
     scenario.  An empty or missing-body file yields the full defaults."""
@@ -98,7 +109,7 @@ def load_config(path: str | Path | None) -> tuple[NetworkConfig, Scenario]:
     scenario = Scenario(
         architecture=raw.get("architecture", "hcran"),
         sweep=raw.get("sweep", "none"),
-        values=tuple(raw.get("values", (raw.get("users", 12),))),
+        values=_values(raw),
         k_total=whole("users", 12),
         k_streaming=whole("streaming_users", 6),
         arrival_rate=_number("arrival_rate", raw.get("arrival_rate", 125.0)),

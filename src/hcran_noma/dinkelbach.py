@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from . import model
-from .model import ChannelState, NetworkConfig, PowerAllocation
+from .model import ChannelState, NetworkConfig, PowerAllocation, surplus
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -50,15 +50,6 @@ class DinkelbachTrace:
     @property
     def e_values(self) -> list[float]:
         return [it.e for it in self.iterations]
-
-
-def surplus(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig,
-            e: float) -> float:
-    """Subtractive objective R(p) - e*P(p) at a given allocation."""
-    if e < 0:
-        raise ValueError("the efficiency parameter must be non-negative")
-    return (model.weighted_sum_rate(alloc, ch, cfg)
-            - e * model.total_power(alloc, cfg))
 
 
 def solve(ch: ChannelState, cfg: NetworkConfig, inner: InnerSolver) -> DinkelbachTrace:

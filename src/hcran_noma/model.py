@@ -536,6 +536,14 @@ def energy_efficiency(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
     return EnergyReport(sum_rate=rate, total_power=power, ee=rate / power)
 
 
+def surplus(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig,
+            e: float) -> float:
+    """Subtractive objective R(p) - e*P(p) at a given allocation."""
+    if e < 0:
+        raise ValueError("the efficiency parameter must be non-negative")
+    return weighted_sum_rate(alloc, ch, cfg) - e * total_power(alloc, cfg)
+
+
 def sic_margin(alloc: PowerAllocation, ch: ChannelState,
                m: int, k: int, k_prime: int, n: int) -> float:
     """Signed margin of the cancellation-order condition for the pair

@@ -143,8 +143,7 @@ class PolyblockSolver:
         def offer(p: np.ndarray) -> None:
             nonlocal best_p, best_val
             alloc = PowerAllocation(p=p)
-            val = (model.weighted_sum_rate(alloc, ch, cfg)
-                   - e * model.total_power(alloc, cfg))
+            val = model.surplus(alloc, ch, cfg, e)
             if val > best_val and model.check_feasibility(alloc, ch, cfg).ok:
                 best_p, best_val = p.copy(), val
 

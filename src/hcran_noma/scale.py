@@ -39,16 +39,18 @@ can carry power: every unseated entry stays at the log floor, and the pairs
 are those whose two members share a seated (m, n), at most C(l_max, 2) per
 (m, n) instead of K(K-1)/2.  Each start lists its E seated entries and
 their pairs once (``model.seated_entries`` in ``_SolveContext.seat``), and
-every sweep (the analysis, the budget-multiplier solve, the closed-form
-update and its step test) runs on flat (E,) and (L,) arrays; the (M, K, N)
-iterate is built at round ends only, for the bound refresh and the round
-tests.  The repair lists the pairs of its current support the same way,
-and the feasibility check those of the powered entries.
+every round runs on flat (E,) and (L,) arrays: the bound refresh at the
+entries' SINRs, the sweeps (the analysis, the budget-multiplier solve, the
+closed-form update and its step test), and the round tests, which read the
+surrogate objective and user rates that the analysis reads.  The (M, K, N)
+iterate is built once per start, for its true objective (``model.surplus``)
+and the repair.  The repair lists the pairs of its current support the same
+way, and the feasibility check those of the powered entries.
 
-Every interference sum comes from ``model``: the sweep's from the seated
+Every interference sum comes from ``model``: the rounds' from the seated
 entry list (its floor, and the adjoint same-head and other-head sums),
 which reads neither the decode-order mask nor any unseated entry, and the
-round-level rates from ``model``'s (M, K, N) rate chain.
+repair's rates from ``model``'s (M, K, N) rate chain.
 
 The printed closed-form updates this solver descends from show inconsistent
 index patterns in their pressure sums, so all terms here are derived directly
@@ -101,7 +103,7 @@ _TRIM_PASSES = 2
 class ScaleCoefficients:
     """Per-entry bound coefficients: alpha*log2(z) + beta <= log2(1+z)."""
 
-    alpha: np.ndarray  # (M, K, N), or (E,) at a start's seated entries; in (0, 1]
+    alpha: np.ndarray  # any shape, (E,) at a start's seated entries; in (0, 1]
     beta: np.ndarray   # the same shape, bits
 
 
@@ -125,33 +127,13 @@ def high_sir_coeffs(shape: tuple[int, ...]) -> ScaleCoefficients:
     return ScaleCoefficients(alpha=np.ones(shape), beta=np.zeros(shape))
 
 
-def coeffs_at(p: np.ndarray, ch: ChannelState) -> ScaleCoefficients:
-    """Re-tighten the bound at the SINRs produced by allocation p.  Entries
-    with non-positive SINR fall back to the high-SIR pair."""
-    z = model.sinr_array(p, ch)
+def coeffs_at(z: np.ndarray) -> ScaleCoefficients:
+    """Re-tighten the bound at the SINRs z (any shape).  Entries with
+    non-positive SINR fall back to the high-SIR pair."""
     ok = z > 0
     alpha, beta = scale_coeffs(np.where(ok, z, 1.0))
     return ScaleCoefficients(alpha=np.where(ok, alpha, 1.0),
                              beta=np.where(ok, beta, 0.0))
-
-
-def approx_rate(alloc: PowerAllocation, ch: ChannelState, coeffs: ScaleCoefficients,
-                m: int, k: int, n: int) -> float:
-    """Surrogate rate beta + alpha*log2(SINR) for one entry; -inf when the
-    entry carries no power (inactive subcarrier)."""
-    z = model.sinr(alloc, ch, m, k, n)
-    if z <= 0:
-        return float("-inf")
-    return float(coeffs.beta[m, k, n] + coeffs.alpha[m, k, n] * np.log2(z))
-
-
-def approx_rate_array(p: np.ndarray, ch: ChannelState,
-                      coeffs: ScaleCoefficients) -> np.ndarray:
-    """(M, K, N) surrogate rates; -inf where the SINR is zero."""
-    z = model.sinr_array(p, ch)
-    with np.errstate(divide="ignore"):
-        logz = np.log2(np.maximum(z, _Z_FLOOR))
-    return np.where(z > 0, coeffs.beta + coeffs.alpha * logz, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +370,7 @@ class ScaleSolver:
         for p0 in starts:
             p_end, round_objs, residual = self._run_rounds(ctx, p0, stats)
             t = time.perf_counter()
-            val = ctx.true_objective(p_end)
+            val = model.surplus(PowerAllocation(p=p_end), ch, cfg, e)
             times.lap("rounds", t)
             if val > best_val:
                 best_p, best_val, best_objs, best_res = p_end, val, round_objs, residual
@@ -406,7 +388,7 @@ class ScaleSolver:
         # never return something worse than a feasible warm start
         if warm_start is not None and (
                 not feasible
-                or ctx.true_objective(repaired) < ctx.true_objective(warm_start.p)):
+                or model.surplus(alloc, ch, cfg, e) < model.surplus(warm_start, ch, cfg, e)):
             if model.check_feasibility(warm_start, ch, cfg, ctx.min_rates).ok:
                 alloc = warm_start.copy()
                 feasible = True
@@ -419,7 +401,7 @@ class ScaleSolver:
             return InnerResult(alloc, "infeasible", stats)
 
         alloc.rho, alloc.a = model.derive_binaries(alloc, cfg)
-        stats.true_objective = ctx.true_objective(alloc.p)
+        stats.true_objective = model.surplus(alloc, ch, cfg, e)
         times.lap("check", t)
         stats.wall_time = time.perf_counter() - t0
         return InnerResult(alloc, "ok", stats)
@@ -428,20 +410,19 @@ class ScaleSolver:
                     stats: SolveStats) -> tuple[np.ndarray, list[float], float]:
         """Approximation rounds over one seating.  The seating (entries above
         the floor) is held fixed: every other entry stays at the floor, so
-        the sweeps carry the seated entries and their pairs alone, and the
-        (M, K, N) iterate is built at round ends only.  The bound is
+        the rounds carry the seated entries and their pairs alone, and the
+        (M, K, N) iterate is built once, on return.  The bound is
         re-tightened at each round's start, and a round whose sweeps lose
         surrogate value is rejected, which also keeps the true objective
         nondecreasing."""
-        cfg, ch = ctx.cfg, ctx.ch
+        cfg = ctx.cfg
         tol = cfg.tolerances
         times = stats.phases
         t = time.perf_counter()
         ctx.seat(p0 > ctx.p_floor)
-        take = ctx.entries.take
         duals = ctx.fresh_duals()
-        p = p0
-        p_e = take(p0)
+        p_e = ctx.entries.take(p0)
+        z = ctx.sinr(p_e)
         xi = np.zeros(cfg.n_rrh)
         eps1 = tol.varpi1_rel * cfg.p_max
         eps2 = tol.varpi2_rel * cfg.p_max
@@ -449,13 +430,13 @@ class ScaleSolver:
         t = times.lap("setup", t)
 
         for s in range(tol.s_max):
-            coeffs = coeffs_at(p, ch)
-            coeffs_e = ScaleCoefficients(alpha=take(coeffs.alpha), beta=take(coeffs.beta))
+            coeffs = coeffs_at(z)
             lin = ctx.linearize(p_e)
-            p_round = p
+            p_round = p_e
+            obj_round, _ = ctx.surrogate(p_e, z, coeffs)
             t = times.lap("rounds", t)
             for v in range(1, tol.v_max + 1):
-                snap = ctx.analyze(p_e, duals, coeffs_e, lin)
+                snap = ctx.analyze(p_e, duals, coeffs, lin)
                 t = times.lap("analyze", t)
                 xi = _budget_dual(snap.num, snap.den, ctx.mask, ctx.entries.head,
                                   cfg.p_max, xi, stats)
@@ -473,32 +454,31 @@ class ScaleSolver:
                 stats.total_sweeps += 1
                 if v >= _MIN_SWEEPS and np.all(delta < eps1):
                     break
-            p = ctx.full(p_e)
-            rejected = ctx.surrogate_objective(p, coeffs) < ctx.surrogate_objective(
-                p_round, coeffs)
-            if rejected:
-                p = p_round
-                p_e = take(p)
-            round_objs.append(ctx.surrogate_objective(p, coeffs))
-            if rejected:
+            z_end = ctx.sinr(p_e)
+            obj, r_user = ctx.surrogate(p_e, z_end, coeffs)
+            if obj < obj_round:
+                p_e = p_round
+                round_objs.append(obj_round)
                 break
-            if ctx.streaming_infeasible(duals, p, coeffs):
+            z = z_end
+            round_objs.append(obj)
+            if ctx.streaming_infeasible(duals, r_user):
                 stats.infeasible_reason = "rate multiplier at cap with unmet demand"
                 break
-            if s > 0 and np.all(np.abs(p - p_round).max(axis=(1, 2)) < eps2):
+            if s > 0 and np.all(ctx.head_max(np.abs(p_e - p_round)) < eps2):
                 break
         t = times.lap("rounds", t)
 
         # fixed-point spot check: one more closed-form evaluation at the end
         # point with the final multipliers must reproduce it
-        snap = ctx.analyze(p_e, duals, coeffs_e, ctx.linearize(p_e))
+        snap = ctx.analyze(p_e, duals, coeffs, ctx.linearize(p_e))
         t = times.lap("analyze", t)
         xi = _budget_dual(snap.num, snap.den, ctx.mask, ctx.entries.head, cfg.p_max, xi, stats)
         t = times.lap("budget", t)
         p_check = ctx.sweep(snap, xi)
         residual = float((ctx.head_max(np.abs(p_check - p_e)) / cfg.p_max).max())
         times.lap("sweep", t)
-        return p, round_objs, residual
+        return ctx.full(p_e), round_objs, residual
 
 
 class _SolveContext:
@@ -519,7 +499,6 @@ class _SolveContext:
         # pure log-domain safety: far below any noise floor so an 'off'
         # entry cannot register as interference
         self.p_floor = 1e-30 * cfg.max_mask
-        self.weights = cfg.weights
 
         # fixed scale (bits/s/Hz): keeps the multiplier trajectory independent
         # of the traffic targets except where the constraint actually binds
@@ -604,8 +583,7 @@ class _SolveContext:
 
         floor, cross = ent.noise_floor(p)
         inv_floor = 1.0 / floor
-        z = p * ent.gamma * inv_floor
-        r_hat = coeffs.beta + coeffs.alpha * np.log2(np.maximum(z, _Z_FLOOR))
+        objective, r_user = self.surrogate(p, p * ent.gamma * inv_floor, coeffs)
 
         zeta_of = np.where(self.elastic, 1.0, duals.zeta)
         c_rate = self.weight * zeta_of[ent.user] * coeffs.alpha
@@ -645,17 +623,12 @@ class _SolveContext:
         # pins the iterate's scale; every other family stays on subgradients
         den = self.e_eta + psi_same + psi_cross + den_sic
 
-        m_count, k_count, _ = self.shape
-        budget = np.bincount(ent.head, weights=p, minlength=m_count) - cfg.p_max
-        r_user = np.bincount(ent.user, weights=self.weight * r_hat, minlength=k_count)
+        budget = np.bincount(ent.head, weights=p, minlength=self.shape[0]) - cfg.p_max
         # clipped so an entirely unserved user cannot swing its multiplier by
         # hundreds of bits in one step
         rate = np.clip(np.where(self.elastic, 0.0, self.min_rates - r_user),
                        -2.0 * self.rate_scale, 2.0 * self.rate_scale)
 
-        objective = float(
-            np.sum(np.where(self.elastic_e, self.weight * r_hat, 0.0))
-            - self.e * cfg.static_power() - np.dot(self.e_eta, p))
         max_violation = max(
             float(np.max(budget / cfg.p_max, initial=-np.inf)),
             float(np.max(rate, initial=-np.inf)),
@@ -671,31 +644,25 @@ class _SolveContext:
         return _closed_form(snap.num, snap.den + xi[self.entries.head], self.mask,
                             self.p_floor)
 
-    # -- objectives -----------------------------------------------------------
-    def power_of(self, p: np.ndarray) -> float:
-        dyn = p[:, self.elastic, :].sum(axis=(1, 2))
-        return self.cfg.static_power() + float(np.dot(self.cfg.eta, dyn))
+    # -- surrogate objective ---------------------------------------------------
+    def sinr(self, p: np.ndarray) -> np.ndarray:
+        """(E,) the SINRs at the seated powers p (E,)."""
+        return p * self.entries.gamma / self.entries.noise_floor(p)[0]
 
-    def surrogate_objective(self, p: np.ndarray, coeffs: ScaleCoefficients) -> float:
-        r_hat = approx_rate_array(p, self.ch, coeffs)
-        r_hat = np.where(np.isfinite(r_hat), r_hat, 0.0)
-        rate = float(np.sum(r_hat[:, self.elastic, :] * self.weights[:, self.elastic, None]))
-        return rate - self.e * self.power_of(p)
+    def surrogate(self, p: np.ndarray, z: np.ndarray,
+                  coeffs: ScaleCoefficients) -> tuple[float, np.ndarray]:
+        """The surrogate objective, rate bound minus e times power, and the
+        (K,) weighted surrogate user rates at the seated powers p (E,) with
+        SINRs z (E,) and the bound coefficients at the entries."""
+        r_hat = self.weight * (coeffs.beta + coeffs.alpha * np.log2(np.maximum(z, _Z_FLOOR)))
+        r_user = np.bincount(self.entries.user, weights=r_hat, minlength=self.shape[1])
+        objective = float(np.sum(np.where(self.elastic_e, r_hat, 0.0))
+                          - self.e * self.cfg.static_power() - np.dot(self.e_eta, p))
+        return objective, r_user
 
-    def true_objective(self, p: np.ndarray) -> float:
-        rates = model.rate_array(p, self.ch)
-        rate = float(np.sum(rates[:, self.elastic, :] * self.weights[:, self.elastic, None]))
-        return rate - self.e * self.power_of(p)
-
-    def streaming_infeasible(self, duals: DualState, p: np.ndarray,
-                             coeffs: ScaleCoefficients) -> bool:
-        """A rate multiplier at its cap while the surrogate rate is still
-        short signals an unsatisfiable traffic load."""
-        if not self.streaming:
-            return False
-        r_hat = approx_rate_array(p, self.ch, coeffs)
-        r_hat = np.where(np.isfinite(r_hat), r_hat, 0.0)
-        r_user = np.einsum("mk,mkn->k", self.weights, r_hat)
+    def streaming_infeasible(self, duals: DualState, r_user: np.ndarray) -> bool:
+        """A rate multiplier at its cap while the surrogate rate r_user (K,)
+        is still short signals an unsatisfiable traffic load."""
         at_cap = duals.zeta >= self.step_rule.zeta_cap * (1 - 1e-9)
         short = r_user < self.min_rates - self.cfg.tolerances.c13_rate_tol
         return bool(np.any(at_cap & short))

@@ -92,6 +92,10 @@ def build_config(architecture: str = "hcran", k_total: int = 12,
     users placed uniformly in the coverage disc (streaming users first)."""
     if k_streaming > k_total:
         raise ConfigError("more streaming users than users")
+    for key, value in (("arrival_rate", arrival_rate), ("queue_packets", queue_packets),
+                       ("packet_bits", packet_bits)):
+        if not value > 0:
+            raise ConfigError(f"{key} must be positive, got {value!r}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     nodes = _architecture_nodes(architecture, m_f)
     n_nodes = len(nodes)

@@ -88,6 +88,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=key):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("text, key", [("values: 5\n", "values"),
+                                           ("values: [a, b]\n", "values"),
+                                           ("arrival_rate: -1\n", "arrival_rate"),
+                                           ("queue_packets: 0\n", "queue_packets"),
+                                           ("packet_bits: -512\n", "packet_bits")])
+    def test_bad_values_and_traffic_named(self, tmp_path, text, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            cli.load_config(path)
+
+    def test_values_converted(self, tmp_path):
+        path = tmp_path / "values.yaml"
+        path.write_text("values: ['8', 12, 2.5]\n")
+        _, scenario = cli.load_config(path)
+        assert scenario.values == (8.0, 12, 2.5)
+        assert isinstance(scenario.values[1], int)
+
     def test_whole_tolerances_converted(self, tmp_path):
         path = tmp_path / "tol.yaml"
         path.write_text("tolerances:\n  s_max: 4.0\n  xi: '0.5'\n  rho1: null\n")
@@ -224,6 +242,15 @@ class TestCommands:
         rc = cli.main(["solve", "--config", str(bad)])
         assert rc == 2
         assert "unknown_thing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, key", [("sweep", "values: 5\n", "values"),
+                                                    ("solve", "arrival_rate: -1\n",
+                                                     "arrival_rate")])
+    def test_bad_values_and_traffic_reported(self, tmp_path, capsys, command, text, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        assert cli.main([command, "--config", str(bad)]) == 2
+        assert f"error: {key}" in capsys.readouterr().err
 
     def test_fractional_head_count_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

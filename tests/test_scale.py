@@ -12,9 +12,9 @@ from hcran_noma.model import (LN2, ChannelState, NetworkConfig, PowerAllocation,
                               cross_interference)
 from hcran_noma.scenarios import build_config, gen_channel
 from hcran_noma.scale import (DualState, ScaleCoefficients, ScaleSolver,
-                              approx_rate, approx_rate_array, coeffs_at,
-                              dual_update, greedy_init, high_sir_coeffs,
-                              scale_coeffs, _budget_dual, _SolveContext)
+                              coeffs_at, dual_update, greedy_init,
+                              high_sir_coeffs, scale_coeffs, _budget_dual,
+                              _SolveContext)
 
 from conftest import make_config, make_channel
 
@@ -52,54 +52,66 @@ class TestScaleCoeffs:
 
 
 class TestApproxRate:
+    """The seated surrogate the rounds run (``_SolveContext.surrogate``):
+    tight where the bound was re-tightened, and below the true rates of
+    ``model.rate_array`` everywhere else."""
+
+    @staticmethod
+    def _seated(cfg, ch, seated, p, e=0.5):
+        ctx = _SolveContext(ch, cfg, e)
+        ctx.seat(seated)
+        p_e = ctx.entries.take(p)
+        return ctx, p_e
+
     def test_tight_at_linearization_point(self):
         cfg = make_config(m=1, k=2, n=2)
         ch = make_channel(cfg, seed=1)
-        rng = np.random.default_rng(2)
-        p = rng.uniform(0.01, 0.5, ch.gamma.shape)
-        coeffs = coeffs_at(p, ch)
+        p = np.random.default_rng(2).uniform(0.01, 0.5, ch.gamma.shape)
+        ctx, p_e = self._seated(cfg, ch, np.ones(p.shape, dtype=bool), p)
+        z = ctx.sinr(p_e)
+        objective, r_user = ctx.surrogate(p_e, z, coeffs_at(z))
         alloc = PowerAllocation(p=p)
-        for k in range(2):
-            for n in range(2):
-                true_rate = model.user_rate(alloc, ch, 0, k, n)
-                assert approx_rate(alloc, ch, coeffs, 0, k, n) == pytest.approx(
-                    true_rate, rel=1e-10)
+        assert r_user == pytest.approx(model.per_user_rate(alloc, ch, cfg), rel=1e-10)
+        assert objective == pytest.approx(model.surplus(alloc, ch, cfg, ctx.e), rel=1e-10)
 
     def test_high_sir_bound(self):
         cfg = make_config(m=1, k=1, n=1)
         shape = (1, 1, 1)
         ch = ChannelState(gamma=np.full(shape, 8.0), sigma=np.ones(shape))
-        coeffs = high_sir_coeffs(shape)
-        alloc = PowerAllocation(p=np.ones(shape))  # SINR 8
-        r_hat = approx_rate(alloc, ch, coeffs, 0, 0, 0)
-        assert r_hat == pytest.approx(3.0)
-        assert r_hat <= np.log2(9.0)
-
-    def test_inactive_entry_sentinel(self):
-        cfg = make_config(m=1, k=1, n=1)
-        shape = (1, 1, 1)
-        ch = ChannelState(gamma=np.ones(shape), sigma=np.ones(shape))
-        coeffs = high_sir_coeffs(shape)
-        alloc = PowerAllocation(p=np.zeros(shape))
-        assert approx_rate(alloc, ch, coeffs, 0, 0, 0) == float("-inf")
+        ctx, p_e = self._seated(cfg, ch, np.ones(shape, dtype=bool), np.ones(shape))
+        _, r_user = ctx.surrogate(p_e, ctx.sinr(p_e), high_sir_coeffs((1,)))  # SINR 8
+        assert r_user[0] == pytest.approx(3.0)
+        assert r_user[0] <= np.log2(9.0)
 
     def test_bound_holds_everywhere(self):
+        # a seating with floor entries, as in a solve: the floor entries'
+        # true rates are about zero and the bound leaves them out
         cfg = make_config(m=2, k=3, n=2)
         ch = make_channel(cfg, seed=3)
         rng = np.random.default_rng(4)
+        floor = 1e-30 * cfg.max_mask
         for _ in range(20):
-            p_ref = rng.uniform(1e-6, 0.5, ch.gamma.shape)
-            p = rng.uniform(1e-6, 0.5, ch.gamma.shape)
-            coeffs = coeffs_at(p_ref, ch)
-            r_hat = approx_rate_array(p, ch, coeffs)
-            r_true = model.rate_array(p, ch)
-            assert np.all(r_hat <= r_true + 1e-9)
+            seated = rng.uniform(size=ch.gamma.shape) < 0.6
+            p_ref = np.where(seated, rng.uniform(1e-6, 0.5, ch.gamma.shape), floor)
+            p = np.where(seated, rng.uniform(1e-6, 0.5, ch.gamma.shape), floor)
+            ctx, p_e = self._seated(cfg, ch, seated, p)
+            coeffs = coeffs_at(ctx.sinr(ctx.entries.take(p_ref)))
+            objective, r_user = ctx.surrogate(p_e, ctx.sinr(p_e), coeffs)
+            alloc = PowerAllocation(p=p)
+            r_true = np.einsum("mk,mkn->k", cfg.weights, model.rate_array(p, ch))
+            assert np.all(r_user <= r_true + 1e-9)
+            assert objective <= model.surplus(alloc, ch, cfg, ctx.e) + 1e-9
+
+
+def _dense_coeffs(p, ch):
+    """(M, K, N) bound coefficients at the SINRs of p (M, K, N)."""
+    return coeffs_at(model.sinr_array(p, ch))
 
 
 def _coeffs_at_entries(ctx, p_lin):
     """The bound coefficients at p_lin (M, K, N), gathered at the entries
     that ctx seats."""
-    coeffs = coeffs_at(p_lin, ctx.ch)
+    coeffs = _dense_coeffs(p_lin, ctx.ch)
     take = ctx.entries.take
     return ScaleCoefficients(alpha=take(coeffs.alpha), beta=take(coeffs.beta))
 
@@ -277,7 +289,7 @@ def _assert_sweep_matches_scalar(cfg, ch, ctx, duals, p, p_lin):
     ent = ctx.entries
     snap = ctx.analyze(ent.take(p), duals, _coeffs_at_entries(ctx, p_lin),
                        ctx.linearize(ent.take(p_lin)))
-    coeffs = coeffs_at(p_lin, ch)
+    coeffs = _dense_coeffs(p_lin, ch)
     state = SweepState(p=p, p_lin=p_lin)
     den_full = snap.den + duals.xi[ent.head]
     assert snap.num.size == len(ent) > 0
@@ -379,6 +391,59 @@ class TestSeatedPairs:
         duals.zeta = np.where(cfg.elastic_mask(), 0.0, rng.uniform(0.5, 2.0, k))
         duals.zeta_t = rng.uniform(0, 1e4, len(seated.pairs))
         _assert_sweep_matches_scalar(cfg, ch, seated, duals, p, p_lin)
+
+
+class TestSeatedRounds:
+    def test_rounds_read_no_dense_rates(self, monkeypatch):
+        # the rounds re-tighten the bound and test their objective on the
+        # seated entries: no (M, K, N) rate chain and its decode-order sum
+        cfg = build_config("hcran", k_total=12, k_streaming=3,
+                           rng=np.random.default_rng(1), m_f=2, n_subcarriers=32)
+        ch = gen_channel(cfg, 1)
+        ctx = _SolveContext(ch, cfg, e=1.0)
+        calls = []
+        for name in ("noise_floor", "sinr_array", "rate_array"):
+            def counting(*args, _name=name, _real=getattr(model, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(model, name, counting)
+        _, round_objs, _ = ScaleSolver()._run_rounds(ctx, greedy_init(cfg, ch),
+                                                     scale.SolveStats())
+        assert len(round_objs) >= 2
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 3), k=st.integers(1, 4), n=st.integers(1, 3),
+           density=st.floats(0.0, 1.0), e=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2**16))
+    def test_surrogate_matches_dense_formula(self, m, k, n, density, e, seed):
+        # the round objective and surrogate user rates over the seated
+        # entries equal the dense (M, K, N) formula, whose floor entries
+        # add only about 1e-21 of the total
+        cfg = make_config(m=m, k=k, n=n, streaming=(0,) if k > 1 else ())
+        ch = make_channel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        shape = ch.gamma.shape
+        floor = 1e-30 * cfg.max_mask
+        seated = rng.uniform(size=shape) < density
+        p, p_ref = (np.where(seated, rng.uniform(1e-4, 1.0, shape) * cfg.p_mask, floor)
+                    for _ in range(2))
+        coeffs = _dense_coeffs(p_ref, ch)
+        ctx = _SolveContext(ch, cfg, e)
+        ctx.seat(seated)
+        take = ctx.entries.take
+        p_e = take(p)
+        objective, r_user = ctx.surrogate(
+            p_e, ctx.sinr(p_e),
+            ScaleCoefficients(alpha=take(coeffs.alpha), beta=take(coeffs.beta)))
+
+        r_hat = cfg.weights[:, :, None] * (
+            coeffs.beta + coeffs.alpha * np.log2(model.sinr_array(p, ch)))
+        elastic = cfg.elastic_mask()
+        power = cfg.static_power() + cfg.eta @ p[:, elastic, :].sum(axis=(1, 2))
+        size = np.abs(r_hat).sum() + e * power
+        assert abs(objective - (r_hat[:, elastic, :].sum() - e * power)) <= 1e-12 * size
+        assert np.all(np.abs(r_user - r_hat.sum(axis=(0, 2))) <= 1e-12 * size)
 
 
 class TestPowerUpdates:
