@@ -72,7 +72,7 @@ def _values(raw: dict) -> tuple:
     values = raw.get("values")
     if values is None:
         return (raw.get("users", 12),)
-    if not isinstance(values, list):
+    if not isinstance(values, list) or None in values:
         raise ConfigError(f"values must be a list of numbers, got {values!r}")
     return tuple(v if isinstance(v, int) else _number("values", v) for v in values)
 
@@ -196,7 +196,7 @@ def _cmd_solve(args) -> int:
         cfg = replace(cfg, l_max=1)
     ch = gen_channel(cfg, np.random.default_rng([scenario.seed, 7]))
     solver = (PolyblockSolver(allow_high_dim=True) if args.solver == "polyblock"
-              else ScaleSolver(collect_trace=True))
+              else ScaleSolver())
     t0 = time.perf_counter()
     trace = dinkelbach.solve(ch, cfg, solver)
     wall = time.perf_counter() - t0
@@ -225,10 +225,10 @@ def _cmd_sweep(args) -> int:
         overrides["architecture"] = args.arch
     if args.sweep:
         overrides["sweep"] = args.sweep
-    if args.values:
-        vals = tuple(float(v) if "." in v else int(v)
-                     for v in args.values.split(","))
-        overrides["values"] = vals
+    if args.values:  # read as the YAML list, integer literals as integers
+        tokens = [v.strip() for v in args.values.split(",")]
+        overrides["values"] = _values(
+            {"values": [int(v) if v.removeprefix("-").isdecimal() else v for v in tokens]})
     if args.draws is not None:
         overrides["draws"] = args.draws
     if args.seed is not None:
@@ -263,7 +263,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    lo, hi = (int(x) for x in args.k_range.split(":"))
+    lo, _, hi = args.k_range.partition(":")
+    lo, hi = _whole("k_range", lo), _whole("k_range", hi)
+    if not 1 <= lo <= hi:
+        raise ConfigError(f"k_range must be LO:HI with 1 <= LO <= HI, got {args.k_range!r}")
     lines = _header_lines("signalling overhead",
                           {"m": args.m, "n": args.n, "k_range": [lo, hi]})
     lines.append("K,centralized_bits,distributed_bits")

@@ -15,11 +15,12 @@ same-RRH users with *stronger* channels (their signals cannot be cancelled)
 and by every user of every other RRH.  Channel ties are broken by user index
 (lower index counts as stronger) so the decode order is a strict total order.
 The order depends on the channel gains alone, so ``ChannelState`` holds it:
-``ch.stronger`` is the dense (M, K, K, N) mask, built once per channel on
-first use.  The cancellation-order condition binds only on users that share
-a powered (m, n), so its pairs are listed per support: ``support_pairs``
-gives the pairs of a bool (M, K, N) support as one flat ``SupportPairs``
-list, oriented by the same tie rule, with their constants, and
+``ch.rank`` is each user's (M, K, N) place in the decode order of its (m, n),
+0 for the strongest, built once per channel on first use, and the one place
+the tie rule is written.  The cancellation-order condition binds only on
+users that share a powered (m, n), so its pairs are listed per support:
+``support_pairs`` gives the pairs of a bool (M, K, N) support as one flat
+``SupportPairs`` list, oriented by the rank, with their constants, and
 ``pair_margins`` is their one vectorised margin.  The inner solver lists the
 pairs its start seats, the repair those of its current support, the checker
 those of the powered entries, and the desk-scale oracles every pair.
@@ -28,22 +29,21 @@ This module owns the interference sums.  Over the dense arrays each takes
 powers with any leading axes (..., M, K, N): ``other_heads`` sums over the
 other heads with the own head at an exact zero weight,
 ``cross_interference`` is the power received from the other heads, and
-``noise_floor`` adds the same-head stronger users and the noise.  The SINR,
-the rates, the checker, the polyblock bounds and the grid oracle read them.
-The inner solver's sweeps read ``SeatedEntries`` instead: the entries of a
-support as one flat list (``seated_entries``), whose floor and adjoint
-same-head and other-head sums run over the support's pairs and over one
-link per entry and other head, so they cost O(M*E + L) for E entries and L
-pairs and count nothing off the support.  Of the interference sums only
-``noise_floor`` and ``user_rate_curve``'s one-user column read the
-``stronger`` mask.
+``noise_floor`` adds the same-head stronger users, an exclusive prefix sum
+in decode order, and the noise.  The SINR, the rates, the checker, the
+polyblock bounds and the grid oracle read them.  The inner solver's sweeps
+read ``SeatedEntries`` instead: the entries of a support as one flat list
+(``seated_entries``), whose floor and adjoint same-head and other-head sums
+run over the support's pairs and over one link per entry and other head, so
+they cost O(M*E + L) for E entries and L pairs and count nothing off the
+support.  No sum builds more than (..., M, K, N) values.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -233,18 +233,18 @@ class ChannelState:
         if np.any(self.sigma <= 0):
             raise ConfigError("noise powers must be strictly positive")
 
-    @cached_property
-    def stronger(self) -> np.ndarray:
-        """Boolean (M, K, K, N): entry [m, i, k, n] is True when user i's
-        signal interferes with user k on (m, n), i.e. i has the strictly
-        stronger channel (ties resolved toward the lower user index)."""
-        gi = self.gamma[:, :, None, :]  # i axis
-        gk = self.gamma[:, None, :, :]  # k axis
-        idx = np.arange(self.gamma.shape[1])
-        earlier = (idx[:, None] < idx[None, :])[None, :, :, None]
-        mask = (gi > gk) | ((gi == gk) & earlier)
-        mask.flags.writeable = False  # every reader of the channel shares it
-        return mask
+    @functools.cached_property
+    def rank(self) -> np.ndarray:
+        """(M, K, N) place of each user in the decode order of its (m, n):
+        0 for the strongest channel, ties toward the lower user index.  User
+        i's signal interferes with user k on (m, n) iff rank[m, i, n] <
+        rank[m, k, n]."""
+        k_count = self.gamma.shape[1]
+        order = np.argsort(-self.gamma, axis=1, kind="stable")
+        rank = np.empty(self.gamma.shape, dtype=np.min_scalar_type(k_count - 1))
+        np.put_along_axis(rank, order, np.arange(k_count)[None, :, None], axis=1)
+        rank.flags.writeable = False  # every reader of the channel shares it
+        return rank
 
 
 @dataclass(frozen=True)
@@ -279,9 +279,8 @@ class SupportPairs:
 
 def support_pairs(ch: ChannelState, support: np.ndarray) -> SupportPairs:
     """Every pair of users that the bool (M, K, N) support holds on the same
-    (m, n).  User a < b is the strong member iff gamma_a >= gamma_b, the
-    tie rule of ``ch.stronger``.  Costs O(G*E + L log L) for E supported
-    entries, L pairs and G the most users held on one (m, n)."""
+    (m, n), each oriented by ``ch.rank``.  Costs O(G*E + L log L) for E
+    supported entries, L pairs and G the most users held on one (m, n)."""
     k_count, n_count = ch.gamma.shape[1:]
     m, n, k = np.nonzero(support.transpose(0, 2, 1))  # by (m, n), k rising
     cell = m * n_count + n
@@ -297,8 +296,8 @@ def support_pairs(ch: ChannelState, support: np.ndarray) -> SupportPairs:
     i, j = i[order], j[order]
     a = (m[i] * k_count + k[i]) * n_count + n[i]
     b = a + (k[j] - k[i]) * n_count
-    gamma, sigma = ch.gamma.reshape(-1), ch.sigma.reshape(-1)
-    a_strong = gamma[a] >= gamma[b]
+    gamma, sigma, rank = ch.gamma.reshape(-1), ch.sigma.reshape(-1), ch.rank.reshape(-1)
+    a_strong = rank[a] < rank[b]
     strong, weak = np.where(a_strong, a, b), np.where(a_strong, b, a)
     g_s, g_w = gamma[strong], gamma[weak]
     s_s, s_w = sigma[strong], sigma[weak]
@@ -431,13 +430,20 @@ def zeros_like_alloc(cfg: NetworkConfig) -> PowerAllocation:
     return PowerAllocation(p=np.zeros((cfg.n_rrh, cfg.n_users, cfg.n_subcarriers)))
 
 
+@functools.cache
+def _not_own(m_count: int) -> np.ndarray:
+    """(M, M) weights 1 - I, built once per head count and shared."""
+    weights = 1.0 - np.eye(m_count)
+    weights.flags.writeable = False
+    return weights
+
+
 def other_heads(x: np.ndarray) -> np.ndarray:
     """Sum over the other heads: out[..., m, k, n] = sum_{j != m} x[..., j, k, n]
     for x (..., M, K, N).  The own head enters with an exact zero weight
     instead of being subtracted from an all-head total, so a loud own head
     cannot cancel the others away.  With M = 1 the result is all zeros."""
-    not_own = 1.0 - np.eye(x.shape[-3])
-    return np.einsum("jm,...jkn->...mkn", not_own, x)
+    return np.einsum("jm,...jkn->...mkn", _not_own(x.shape[-3]), x)
 
 
 def cross_interference(p: np.ndarray, ch: ChannelState) -> np.ndarray:
@@ -449,8 +455,20 @@ def cross_interference(p: np.ndarray, ch: ChannelState) -> np.ndarray:
 def noise_floor(p: np.ndarray, ch: ChannelState) -> tuple[np.ndarray, np.ndarray]:
     """(floor, cross), both (..., M, K, N) for powers p (..., M, K, N).  floor
     is noise plus the same-head stronger users received through the victim's
-    own channel plus ``cross``, everything from the other heads."""
-    same = np.einsum("mikn,...min->...mkn", ch.stronger, p)
+    own channel plus ``cross``, everything from the other heads.
+
+    The stronger users' power is an exclusive prefix sum in decode order:
+    the powers are placed by ``ch.rank``, summed cumulatively, shifted one
+    place and read back by rank.  The shift leaves the own power out exactly;
+    a sum minus the own power would lose a quiet stronger user next to a loud
+    victim."""
+    m_count, _, n_count = ch.gamma.shape
+    at = (np.arange(m_count)[:, None, None], ch.rank, np.arange(n_count))
+    in_order = np.empty(p.shape)
+    in_order[(..., *at)] = p
+    same = np.zeros(p.shape)
+    np.cumsum(in_order[..., :-1, :], axis=-2, out=same[..., 1:, :])
+    same = same[(..., *at)]
     cross = cross_interference(p, ch)
     return ch.sigma + ch.gamma * same + cross, cross
 
@@ -506,7 +524,8 @@ def user_rate_curve(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
     own = p[:, k:k + 1, :] * g                 # k's signal from each head
     others = p.copy()
     others[:, k, :] = 0.0
-    same = np.einsum("min,min->mn", ch.stronger[:, :, k, :], others)[:, None]
+    stronger = ch.rank < ch.rank[:, k:k + 1, :]  # (M, K, N) users decoded before k
+    same = np.einsum("min,min->mn", stronger, others)[:, None]
     floor = (ch.sigma[:, k:k + 1, :] + g * same
              + other_heads(others.sum(axis=1, keepdims=True) * g))
     self_cross = other_heads(own)
@@ -560,7 +579,7 @@ def sic_margin(alloc: PowerAllocation, ch: ChannelState,
     _check_index("n", n, nn)
     if k == k_prime:
         raise ValueError("k and k_prime must differ")
-    if not ch.stronger[m, k, k_prime, n]:
+    if not ch.rank[m, k, n] < ch.rank[m, k_prime, n]:
         raise ValueError(
             f"decode-order precondition violated: user {k} is not stronger "
             f"than user {k_prime} on (m={m}, n={n})"

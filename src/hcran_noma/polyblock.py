@@ -63,8 +63,7 @@ class _Boxes:
     def evaluate(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bound, alive), both (B,)."""
         ch, cfg, tol = self.ch, self.cfg, self.cfg.tolerances
-        floor_a, cross_a = model.noise_floor(a, ch)
-        floor_b, cross_b = model.noise_floor(b, ch)
+        (floor_a, floor_b), (cross_a, cross_b) = model.noise_floor(np.stack([a, b]), ch)
         w = cfg.weights[None, :, :, None] * (b > 0)
         plus = np.einsum("bmkn->bk", w * np.log2(floor_b + b * ch.gamma))
         rate = plus - np.einsum("bmkn->bk", w * np.log2(floor_a))  # (B, K)

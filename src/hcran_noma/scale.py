@@ -49,8 +49,9 @@ way, and the feasibility check those of the powered entries.
 
 Every interference sum comes from ``model``: the rounds' from the seated
 entry list (its floor, and the adjoint same-head and other-head sums),
-which reads neither the decode-order mask nor any unseated entry, and the
-repair's rates from ``model``'s (M, K, N) rate chain.
+which reads no unseated entry, and the repair's rates from ``model``'s
+(M, K, N) rate chain, whose same-head sum follows the channel's decode
+rank.
 
 The printed closed-form updates this solver descends from show inconsistent
 index patterns in their pressure sums, so all terms here are derived directly
@@ -122,11 +123,6 @@ def scale_coeffs(z0):
     return alpha, beta
 
 
-def high_sir_coeffs(shape: tuple[int, ...]) -> ScaleCoefficients:
-    """alpha=1, beta=0: the bound log2(z) <= log2(1+z), used to start a solve."""
-    return ScaleCoefficients(alpha=np.ones(shape), beta=np.zeros(shape))
-
-
 def coeffs_at(z: np.ndarray) -> ScaleCoefficients:
     """Re-tighten the bound at the SINRs z (any shape).  Entries with
     non-positive SINR fall back to the high-SIR pair."""
@@ -148,13 +144,12 @@ class DualState:
                             slackness in every sweep (``_budget_dual``)
     zeta    (K,)            streaming minimum rates (zero rows for elastic)
     zeta_t  (L,)            cancellation-order constraints, one per seated
-                            pair of ``pairs``
+                            pair of the start (``_SolveContext.pairs``)
     """
 
     xi: np.ndarray
     zeta: np.ndarray
     zeta_t: np.ndarray
-    pairs: model.SupportPairs
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,7 @@ def dual_update(duals: DualState, slacks: ConstraintSlacks, step: StepRule,
     zeta = np.clip(duals.zeta + damp * step.zeta_step * slacks.rate, 0.0, step.zeta_cap)
     zeta_t = np.clip(duals.zeta_t + damp * step.sic_step * slacks.sic,
                      0.0, step.sic_cap)
-    return DualState(xi=duals.xi, zeta=zeta, zeta_t=zeta_t, pairs=duals.pairs)
+    return DualState(xi=duals.xi, zeta=zeta, zeta_t=zeta_t)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +225,6 @@ class SolveStats:
     fixed_point_residual: float = float("nan")  # |p - update(p)| / p_max at exit
     infeasible_reason: str | None = None
     wall_time: float = 0.0
-    trace: list = field(default_factory=list)  # (s, v, objective, max_violation, step_norm)
     # head solves of the budget multiplier that found no xi within the budget
     budget_unbracketed: int = 0
     phases: PhaseTimes = field(default_factory=PhaseTimes)
@@ -329,17 +323,11 @@ class _Snapshot:
     num: np.ndarray
     den: np.ndarray
     slacks: ConstraintSlacks
-    objective: float
-    max_violation: float
 
 
 class ScaleSolver:
     """Fixed-parameter inner solver; plugs into the fractional-programming
-    outer loop.  collect_trace records one (round, sweep, objective,
-    max_violation, step_norm) tuple per sweep in SolveStats.trace."""
-
-    def __init__(self, collect_trace: bool = False):
-        self.collect_trace = collect_trace
+    outer loop."""
 
     def solve_fixed_e(self, ch: ChannelState, cfg: NetworkConfig, e: float,
                       warm_start: PowerAllocation | None = None) -> InnerResult:
@@ -447,9 +435,6 @@ class ScaleSolver:
                 duals = dual_update(duals, snap.slacks, ctx.step_rule, v)
                 duals.xi = xi
                 t = times.lap("dual_update", t)
-                if self.collect_trace:
-                    stats.trace.append((s, v, snap.objective, snap.max_violation,
-                                        float((delta / cfg.p_max).max())))
                 p_e = p_next
                 stats.total_sweeps += 1
                 if v >= _MIN_SWEEPS and np.all(delta < eps1):
@@ -520,8 +505,7 @@ class _SolveContext:
     def seat(self, seating: np.ndarray) -> None:
         """Carry the entries of one start, those ``seating`` (bool (M, K, N))
         holds, and their pairs.  Sets ``entries`` and ``pairs``, the entries'
-        config constants, the pairs' residual normaliser ``sic_norm`` and the
-        ``step_rule`` over them."""
+        config constants and the ``step_rule`` over them."""
         cfg = self.cfg
         self.entries = ent = model.seated_entries(self.ch, seating)
         self.pairs = pairs = ent.pairs
@@ -532,7 +516,6 @@ class _SolveContext:
         self.e_eta = self.e * cfg.eta[ent.head] * self.elastic_e
         scale = self.scale_at_mask(pairs)
         mask_s, mask_w = self.mask[ent.strong], self.mask[ent.weak]
-        self.sic_norm = scale * mask_s * mask_w
         cap = cfg.tolerances.dual_cap
         self.step_rule = StepRule(
             zeta_step=np.full(self.shape[1], _RATE_GAIN / self.rate_scale),
@@ -561,7 +544,7 @@ class _SolveContext:
         zeta = np.zeros(k_count)
         zeta[self.streaming] = 1.0  # unit rate pressure from the start
         return DualState(xi=np.zeros(m_count), zeta=zeta,
-                         zeta_t=np.zeros(len(self.pairs)), pairs=self.pairs)
+                         zeta_t=np.zeros(len(self.pairs)))
 
     def linearize(self, p_lin: np.ndarray) -> dict:
         """Tangent constants of the subtracted cross-product term for every
@@ -579,11 +562,11 @@ class _SolveContext:
         budget multiplier) and the subgradient residuals at the seated
         powers p (E,), from the bound coefficients at the entries (E,) and
         the round's ``linearize``."""
-        cfg, ent = self.cfg, self.entries
+        ent = self.entries
 
         floor, cross = ent.noise_floor(p)
         inv_floor = 1.0 / floor
-        objective, r_user = self.surrogate(p, p * ent.gamma * inv_floor, coeffs)
+        _, r_user = self.surrogate(p, p * ent.gamma * inv_floor, coeffs)
 
         zeta_of = np.where(self.elastic, 1.0, duals.zeta)
         c_rate = self.weight * zeta_of[ent.user] * coeffs.alpha
@@ -623,20 +606,11 @@ class _SolveContext:
         # pins the iterate's scale; every other family stays on subgradients
         den = self.e_eta + psi_same + psi_cross + den_sic
 
-        budget = np.bincount(ent.head, weights=p, minlength=self.shape[0]) - cfg.p_max
         # clipped so an entirely unserved user cannot swing its multiplier by
         # hundreds of bits in one step
         rate = np.clip(np.where(self.elastic, 0.0, self.min_rates - r_user),
                        -2.0 * self.rate_scale, 2.0 * self.rate_scale)
-
-        max_violation = max(
-            float(np.max(budget / cfg.p_max, initial=-np.inf)),
-            float(np.max(rate, initial=-np.inf)),
-            float(np.max(sic_slack / self.sic_norm, initial=-np.inf)),
-        )
-        slacks = ConstraintSlacks(rate=rate, sic=sic_slack)
-        return _Snapshot(num=num, den=den, slacks=slacks, objective=objective,
-                         max_violation=max_violation)
+        return _Snapshot(num=num, den=den, slacks=ConstraintSlacks(rate=rate, sic=sic_slack))
 
     def sweep(self, snap: _Snapshot, xi: np.ndarray) -> np.ndarray:
         """Closed-form update of the seated powers (E,) from one snapshot

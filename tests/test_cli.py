@@ -90,6 +90,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("text, key", [("values: 5\n", "values"),
                                            ("values: [a, b]\n", "values"),
+                                           ("values: [1, null]\n", "values"),
                                            ("arrival_rate: -1\n", "arrival_rate"),
                                            ("queue_packets: 0\n", "queue_packets"),
                                            ("packet_bits: -512\n", "packet_bits")])
@@ -99,12 +100,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=key):
             cli.load_config(path)
 
-    def test_values_converted(self, tmp_path):
+    def test_values_converted(self, tmp_path, monkeypatch):
         path = tmp_path / "values.yaml"
         path.write_text("values: ['8', 12, 2.5]\n")
         _, scenario = cli.load_config(path)
         assert scenario.values == (8.0, 12, 2.5)
         assert isinstance(scenario.values[1], int)
+        # the --values flag goes through the same conversion; an integer
+        # literal stays an integer there
+        seen = []
+        monkeypatch.setattr(cli, "run_sweep", lambda sc: seen.append(sc.values) or [])
+        assert cli.main(["sweep", "--values", "8,12,2.5,1e3",
+                         "--out", str(tmp_path / "v.csv")]) == 0
+        assert seen == [(8, 12, 2.5, 1000.0)]
+        assert [type(v) for v in seen[0]] == [int, int, float, float]
 
     def test_whole_tolerances_converted(self, tmp_path):
         path = tmp_path / "tol.yaml"
@@ -213,8 +222,11 @@ class TestCommands:
         rc = cli.main(["sweep", "--config", str(cfgp), "--sweep", "streaming",
                        "--values", "1,2", "--draws", "1", "--out", str(out)])
         assert rc == 0
-        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        lines = out.read_text().splitlines()
+        rows = [l for l in lines if not l.startswith("#")]
         assert len(rows) == 3  # header + 2 sweep points
+        # integer values stay integers in the header's config record
+        assert '"values": [1, 2]' in next(l for l in lines if l.startswith("# config: "))
 
     def test_overhead_csv(self, tmp_path):
         out = tmp_path / "overhead.csv"
@@ -243,13 +255,21 @@ class TestCommands:
         assert rc == 2
         assert "unknown_thing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, text, key", [("sweep", "values: 5\n", "values"),
-                                                    ("solve", "arrival_rate: -1\n",
-                                                     "arrival_rate")])
+    @pytest.mark.parametrize("command, text, key", [
+        ("sweep", "values: 5\n", "values"),
+        ("solve", "arrival_rate: -1\n", "arrival_rate"),
+        # the same checks on the command-line flags, without a config file
+        ("sweep --values a,b", None, "values"),
+        ("overhead --k-range 4", None, "k_range"),
+        ("overhead --k-range 8:4", None, "k_range"),
+    ])
     def test_bad_values_and_traffic_reported(self, tmp_path, capsys, command, text, key):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text(text)
-        assert cli.main([command, "--config", str(bad)]) == 2
+        argv = command.split()
+        if text is not None:
+            bad = tmp_path / "bad.yaml"
+            bad.write_text(text)
+            argv += ["--config", str(bad)]
+        assert cli.main(argv) == 2
         assert f"error: {key}" in capsys.readouterr().err
 
     def test_fractional_head_count_reported(self, tmp_path, capsys):

@@ -62,15 +62,25 @@ class TestSinr:
         # the weak user eats the strong user's power through its own channel
         assert sinr(alloc, ch, 0, 1, 0) == pytest.approx(3.0 / (1.0 + 3.0))
 
-    def test_matches_manual_evaluation(self):
-        cfg = make_config(m=2, k=2, n=1)
-        ch = make_channel(cfg, seed=7)
-        rng = np.random.default_rng(8)
-        alloc = PowerAllocation(p=rng.uniform(0, 1, ch.gamma.shape))
-        for m in range(2):
-            for k in range(2):
-                assert sinr(alloc, ch, m, k, 0) == pytest.approx(
-                    manual_sinr(alloc.p, ch.gamma, ch.sigma, m, k, 0), rel=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 3), k=st.integers(1, 5), n=st.integers(1, 3),
+           stack=st.integers(1, 3), ties=st.booleans(), zeros=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_manual_evaluation(self, m, k, n, stack, ties, zeros, seed):
+        # tied gains (the lower index decodes first) and zero gains, for a
+        # stack of allocations on a leading axis
+        rng = np.random.default_rng(seed)
+        shape = (m, k, n)
+        gamma = (rng.choice([1e-8, 1e-7], size=shape) if ties
+                 else rng.exponential(1e-7, shape))
+        if zeros:
+            gamma = gamma * (rng.random(shape) < 0.6)
+        ch = ChannelState(gamma=gamma, sigma=rng.uniform(1e-14, 1e-13, shape))
+        p = rng.uniform(0.0, 1.0, (stack, *shape)) * (rng.random((stack, *shape)) < 0.7)
+        got = model.sinr_array(p, ch)
+        for b, mm, kk, nn in np.ndindex(got.shape):
+            assert got[b, mm, kk, nn] == pytest.approx(
+                manual_sinr(p[b], gamma, ch.sigma, mm, kk, nn), rel=1e-12), (b, mm, kk, nn)
 
     def test_index_errors(self, small_cfg, small_channel):
         alloc = model.zeros_like_alloc(small_cfg)
@@ -214,19 +224,23 @@ class TestUserRateCurve:
            two_heads=st.booleans(), n_off=st.integers(0, 2),
            quiet=st.sampled_from([1.0, 1e-6]),
            s=st.sampled_from([0.0, 1e-6, 0.3, 1.0, 2.5]),
-           seed=st.integers(0, 2**16))
+           ties=st.booleans(), seed=st.integers(0, 2**16))
     # a loud own head next to a quiet other head: an all-head total minus the
     # own head's part would round away most of the quiet head's interference
-    @example(m=2, k=2, n=1, two_heads=True, n_off=0, quiet=1.0, s=1e-6, seed=1)
-    @example(m=2, k=2, n=1, two_heads=True, n_off=0, quiet=1e-6, s=1e-6, seed=1)
-    def test_matches_per_user_rate(self, m, k, n, two_heads, n_off, quiet, s, seed):
+    @example(m=2, k=2, n=1, two_heads=True, n_off=0, quiet=1.0, s=1e-6, ties=False, seed=1)
+    @example(m=2, k=2, n=1, two_heads=True, n_off=0, quiet=1e-6, s=1e-6, ties=False, seed=1)
+    def test_matches_per_user_rate(self, m, k, n, two_heads, n_off, quiet, s, ties, seed):
         # an exclusive seating (one head per user), optionally with user 0 on
         # two heads, the last n_off users without power, and every head but
-        # head 0 quiet (which a total-minus-own cross term would cancel away)
+        # head 0 quiet (which a total-minus-own cross term would cancel away);
+        # with ties, gains from two levels, so the lower index decodes first
         rng = np.random.default_rng(seed)
         cfg = make_config(m=m, k=k, n=n,
                           weights=rng.uniform(0.2, 1.0, (m, k)))
         ch = make_channel(cfg, seed=seed)
+        if ties:
+            ch = ChannelState(gamma=rng.choice([1e-8, 1e-7], size=ch.gamma.shape),
+                              sigma=ch.sigma)
         heads = rng.integers(0, m, size=k)
         p = np.zeros((m, k, n))
         p[heads, np.arange(k), :] = (rng.uniform(0.01, 1.0, (k, n))
@@ -292,8 +306,8 @@ class TestEnergyEfficiency:
 class TestDecodeOrder:
     def test_built_once_per_channel(self, monkeypatch):
         # the decode order depends on the gains alone: one solve plus the
-        # feasibility check must build the mask once
-        build = ChannelState.__dict__["stronger"].func
+        # feasibility check must build the rank once
+        build = ChannelState.__dict__["rank"].func
         builds = []
 
         def counted(ch):
@@ -301,13 +315,25 @@ class TestDecodeOrder:
             return build(ch)
 
         prop = functools.cached_property(counted)
-        prop.__set_name__(ChannelState, "stronger")
-        monkeypatch.setattr(ChannelState, "stronger", prop)
+        prop.__set_name__(ChannelState, "rank")
+        monkeypatch.setattr(ChannelState, "rank", prop)
         cfg = make_config(m=2, k=4, n=4, streaming=(0,))
         ch = make_channel(cfg, seed=3)
         trace = dinkelbach.solve(ch, cfg, ScaleSolver())
         check_feasibility(trace.final_allocation, ch, cfg)
         assert builds == [id(ch)]
+
+    def test_cached_arrays_stay_per_entry(self):
+        # no K x K structure per (m, n): after a solve and its check, every
+        # array the channel holds has at most one value per (m, k, n)
+        cfg = make_config(m=2, k=4, n=4, streaming=(0,))
+        ch = make_channel(cfg, seed=3)
+        trace = dinkelbach.solve(ch, cfg, ScaleSolver())
+        check_feasibility(trace.final_allocation, ch, cfg)
+        sizes = {name: value.size for name, value in vars(ch).items()
+                 if isinstance(value, np.ndarray)}
+        assert "rank" in sizes
+        assert max(sizes.values()) <= ch.gamma.size, sizes
 
     @staticmethod
     def _channel_and_support(m, k, n, seed, ties):
@@ -327,12 +353,12 @@ class TestDecodeOrder:
     @example(m=2, k=1, n=3, seed=0, ties=True)  # one user: no pairs
     def test_support_pairs_match_brute_force(self, m, k, n, seed, ties):
         # every pair of supported users on one (m, n), in (m, a, b, n)
-        # order, oriented by ch.stronger (ties toward the lower index)
+        # order, the larger gain strong, ties toward the lower index a
         ch, support, _ = self._channel_and_support(m, k, n, seed, ties)
         expected = []
         for mm, a, b, nn in itertools.product(range(m), range(k), range(k), range(n)):
             if a < b and support[mm, a, nn] and support[mm, b, nn]:
-                s, w = (a, b) if ch.stronger[mm, a, b, nn] else (b, a)
+                s, w = (a, b) if ch.gamma[mm, a, nn] >= ch.gamma[mm, b, nn] else (b, a)
                 expected.append((mm, s, w, nn))
         pairs = model.support_pairs(ch, support)
         assert len(pairs) == len(expected)
@@ -373,7 +399,10 @@ class TestDecodeOrder:
             m_s, k_s, n_s = np.unravel_index(pairs.strong, full.shape)
             m_w, k_w, n_w = np.unravel_index(pairs.weak, full.shape)
             assert np.array_equal(m_s, m_w) and np.array_equal(n_s, n_w)
-            assert ch.stronger[m_s, k_s, k_w, n_s].all()
+            # the strong member has the larger gain, or an equal one and the
+            # lower index
+            g_s, g_w = ch.gamma[m_s, k_s, n_s], ch.gamma[m_w, k_w, n_w]
+            assert np.all((g_s > g_w) | ((g_s == g_w) & (k_s < k_w)))
             for m, n in itertools.product(range(2), range(3)):
                 here = (m_s == m) & (n_s == n)
                 found = {(min(a, b), max(a, b)) for a, b in zip(k_s[here], k_w[here])}
@@ -426,9 +455,9 @@ class TestSicMargin:
             p = rng.uniform(0, 1.0, ch.gamma.shape)
             alloc = PowerAllocation(p=p)
             cross = model.cross_interference(p, ch)
-            strong = ch.stronger
             for m in range(2):
-                a, b = (0, 1) if strong[m, 0, 1, 0] else (1, 0)
+                # user 0 decodes first on a larger or equal gain
+                a, b = (0, 1) if ch.gamma[m, 0, 0] >= ch.gamma[m, 1, 0] else (1, 0)
                 omega = sic_margin(alloc, ch, m, a, b, 0)
                 at_strong = ch.gamma[m, a, 0] / (ch.sigma[m, a, 0] + cross[m, a, 0])
                 at_weak = ch.gamma[m, b, 0] / (ch.sigma[m, b, 0] + cross[m, b, 0])

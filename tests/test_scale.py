@@ -13,10 +13,14 @@ from hcran_noma.model import (LN2, ChannelState, NetworkConfig, PowerAllocation,
 from hcran_noma.scenarios import build_config, gen_channel
 from hcran_noma.scale import (DualState, ScaleCoefficients, ScaleSolver,
                               coeffs_at, dual_update, greedy_init,
-                              high_sir_coeffs, scale_coeffs, _budget_dual,
-                              _SolveContext)
+                              scale_coeffs, _budget_dual, _SolveContext)
 
 from conftest import make_config, make_channel
+
+
+def _high_sir(shape):
+    """alpha=1, beta=0: the bound log2(z) <= log2(1+z)."""
+    return ScaleCoefficients(alpha=np.ones(shape), beta=np.zeros(shape))
 
 
 class TestScaleCoeffs:
@@ -79,7 +83,7 @@ class TestApproxRate:
         shape = (1, 1, 1)
         ch = ChannelState(gamma=np.full(shape, 8.0), sigma=np.ones(shape))
         ctx, p_e = self._seated(cfg, ch, np.ones(shape, dtype=bool), np.ones(shape))
-        _, r_user = ctx.surrogate(p_e, ctx.sinr(p_e), high_sir_coeffs((1,)))  # SINR 8
+        _, r_user = ctx.surrogate(p_e, ctx.sinr(p_e), _high_sir((1,)))  # SINR 8
         assert r_user[0] == pytest.approx(3.0)
         assert r_user[0] <= np.log2(9.0)
 
@@ -187,11 +191,13 @@ def _mid_solve_state(seed=10, m=2, k=4, n=3, streaming=(0,), seating=None):
 
 @dataclass
 class SweepState:
-    """What a sweep reads: current powers plus the round's linearization
-    reference (the point the cancellation constraint was expanded at)."""
+    """What a sweep reads: current powers, the round's linearization
+    reference (the point the cancellation constraint was expanded at) and
+    the seated pairs, whose multipliers are ``DualState.zeta_t``."""
 
     p: np.ndarray
     p_lin: np.ndarray
+    pairs: model.SupportPairs
 
 
 def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficients,
@@ -201,17 +207,25 @@ def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficie
     vectorized sweep must reproduce these numbers."""
     p, p_lin = state.p, state.p_lin
     m_count, k_count, _ = p.shape
-    strong = ch.stronger
     zeta_of = np.where(cfg.elastic_mask(), 1.0, duals.zeta)
     cross = cross_interference(p, ch)
-    floor = ch.sigma + ch.gamma * np.einsum("mikn,min->mkn", strong, p) + cross
+
+    def decodes_first(mm, i, l):
+        # user i's signal reaches user l on (mm, n) uncancelled: i has the
+        # larger gain, or an equal gain and the lower index
+        g_i, g_l = ch.gamma[mm, i, n], ch.gamma[mm, l, n]
+        return i != l and (g_i > g_l or (g_i == g_l and i < l))
+
+    def floor(mm, l):
+        same = sum(p[mm, i, n] for i in range(k_count) if decodes_first(mm, i, l))
+        return ch.sigma[mm, l, n] + ch.gamma[mm, l, n] * same + cross[mm, l, n]
 
     # rate pressure from same-RRH weaker users (their floor contains p[m,k,n])
     psi_same = 0.0
     for l in range(k_count):
-        if l != k and strong[m, k, l, n]:
+        if decodes_first(m, k, l):
             psi_same += (cfg.weights[m, l] * zeta_of[l] * coeffs.alpha[m, l, n]
-                         * ch.gamma[m, l, n] / (floor[m, l, n] * LN2))
+                         * ch.gamma[m, l, n] / (floor(m, l) * LN2))
     # rate pressure from every user of every other RRH
     psi_cross = 0.0
     for mp in range(m_count):
@@ -219,7 +233,7 @@ def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficie
             continue
         for l in range(k_count):
             psi_cross += (cfg.weights[mp, l] * zeta_of[l] * coeffs.alpha[mp, l, n]
-                          * ch.gamma[m, l, n] / (floor[mp, l, n] * LN2))
+                          * ch.gamma[m, l, n] / (floor(mp, l) * LN2))
 
     # cancellation-order pressure: the numerator collects the tangent
     # components of the linearized concave part, the denominator the
@@ -227,7 +241,7 @@ def _entry_pressures(state: SweepState, duals: DualState, coeffs: ScaleCoefficie
     num_sic = 0.0
     den_sic = 0.0
     cross_lin = cross_interference(p_lin, ch)
-    pairs = duals.pairs
+    pairs = state.pairs
     for i in range(len(pairs)):
         mm, a, nn = np.unravel_index(pairs.strong[i], p.shape)
         b = np.unravel_index(pairs.weak[i], p.shape)[1]
@@ -290,7 +304,7 @@ def _assert_sweep_matches_scalar(cfg, ch, ctx, duals, p, p_lin):
     snap = ctx.analyze(ent.take(p), duals, _coeffs_at_entries(ctx, p_lin),
                        ctx.linearize(ent.take(p_lin)))
     coeffs = _dense_coeffs(p_lin, ch)
-    state = SweepState(p=p, p_lin=p_lin)
+    state = SweepState(p=p, p_lin=p_lin, pairs=ctx.pairs)
     den_full = snap.den + duals.xi[ent.head]
     assert snap.num.size == len(ent) > 0
     for i, flat in enumerate(ent.flat):
@@ -454,8 +468,8 @@ class TestPowerUpdates:
         ch = ChannelState(gamma=np.ones(shape), sigma=np.ones(shape))
         ctx = _SolveContext(ch, cfg, e=1.0 / np.log(2.0))
         duals = ctx.fresh_duals()
-        coeffs = high_sir_coeffs(shape)
-        state = SweepState(p=np.full(shape, 0.1), p_lin=np.full(shape, 0.1))
+        coeffs = _high_sir(shape)
+        state = SweepState(p=np.full(shape, 0.1), p_lin=np.full(shape, 0.1), pairs=ctx.pairs)
         got = elastic_power_update(state, duals, coeffs, ch, cfg,
                                    1.0 / np.log(2.0), 0, 0, 0)
         assert got == pytest.approx(1.0, rel=1e-12)
@@ -466,8 +480,8 @@ class TestPowerUpdates:
         ch = ChannelState(gamma=np.ones(shape), sigma=np.ones(shape))
         ctx = _SolveContext(ch, cfg, e=1e-6)
         duals = ctx.fresh_duals()
-        state = SweepState(p=np.full(shape, 0.1), p_lin=np.full(shape, 0.1))
-        got = elastic_power_update(state, duals, high_sir_coeffs(shape), ch, cfg,
+        state = SweepState(p=np.full(shape, 0.1), p_lin=np.full(shape, 0.1), pairs=ctx.pairs)
+        got = elastic_power_update(state, duals, _high_sir(shape), ch, cfg,
                                    1e-6, 0, 0, 0)
         assert got == pytest.approx(cfg.p_mask[0, 0, 0])
 
@@ -478,8 +492,8 @@ class TestPowerUpdates:
         duals = ctx.fresh_duals()
         duals.zeta[:] = 0.0
         state = SweepState(p=np.full(ch.gamma.shape, 0.01),
-                           p_lin=np.full(ch.gamma.shape, 0.01))
-        got = streaming_power_update(state, duals, high_sir_coeffs(ch.gamma.shape),
+                           p_lin=np.full(ch.gamma.shape, 0.01), pairs=ctx.pairs)
+        got = streaming_power_update(state, duals, _high_sir(ch.gamma.shape),
                                      ch, cfg, 0, 0, 0)
         assert got == 0.0
 
@@ -487,9 +501,9 @@ class TestPowerUpdates:
         cfg = make_config(m=1, k=2, n=1, streaming=(0,))
         ch = make_channel(cfg, seed=12)
         ctx = _SolveContext(ch, cfg, e=0.5)
-        coeffs = high_sir_coeffs(ch.gamma.shape)
+        coeffs = _high_sir(ch.gamma.shape)
         state = SweepState(p=np.full(ch.gamma.shape, 0.01),
-                           p_lin=np.full(ch.gamma.shape, 0.01))
+                           p_lin=np.full(ch.gamma.shape, 0.01), pairs=ctx.pairs)
         duals = ctx.fresh_duals()
         duals.zeta[0] = 1.0
         base = streaming_power_update(state, duals, coeffs, ch, cfg, 0, 0, 0)
