@@ -31,18 +31,20 @@ other heads with the own head at an exact zero weight,
 ``cross_interference`` is the power received from the other heads, and
 ``noise_floor`` adds the same-head stronger users, an exclusive prefix sum
 in decode order, and the noise.  The SINR, the rates, the checker, the
-polyblock bounds and the grid oracle read them.  The inner solver's sweeps
-read ``SeatedEntries`` instead: the entries of a support as one flat list
-(``seated_entries``), whose floor and adjoint same-head and other-head sums
-run over the support's pairs and over one link per entry and other head, so
-they cost O(M*E + L) for E entries and L pairs and count nothing off the
-support.  No sum builds more than (..., M, K, N) values.
+polyblock bounds and the grid oracle read them.  The inner solver reads
+``SeatedEntries`` instead: the entries of a support as one flat list
+(``seated_entries``), whose floor, SINRs, per-user rates and adjoint
+same-head and other-head sums run over the support's pairs and over one
+link per entry and other head, so they cost O(M*E + L) for E entries and L
+pairs and count nothing off the support.  Its rounds and sweeps run on the
+entries their start seats, the streaming trim and boost of its repair on
+those of the repair's current support.  No sum builds more than
+(..., M, K, N) values.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -377,6 +379,17 @@ class SeatedEntries:
         same = self.from_pairs(None, p[self.strong])
         return self.sigma + self.gamma * same + cross, cross
 
+    def sinr(self, p: np.ndarray) -> np.ndarray:
+        """(E,) the post-cancellation SINRs at the entries' powers p (E,)."""
+        return p * self.gamma / self.noise_floor(p)[0]
+
+    def user_rates(self, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(K,) each user's weighted total rate at the entries' powers p (E,),
+        with weights (M, K): ``per_user_rate`` when p is zero off the
+        support."""
+        rates = weights[self.head, self.user] * np.log2(1.0 + self.sinr(p))
+        return np.bincount(self.user, weights=rates, minlength=weights.shape[1])
+
 
 def seated_entries(ch: ChannelState, support: np.ndarray) -> SeatedEntries:
     """The entries of the bool (M, K, N) support, with their pairs
@@ -508,33 +521,6 @@ def per_user_rate(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig) 
     """(K,) weighted total rate of each user across RRHs and subcarriers."""
     rates = rate_array(alloc.p, ch)
     return np.einsum("mk,mkn->k", cfg.weights, rates)
-
-
-def user_rate_curve(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
-                    k: int) -> Callable[[float], float]:
-    """User k's weighted total rate as a function of a scale s on its own
-    powers: rate(s) is ``per_user_rate`` of p with p[:, k, :] scaled by s,
-    every other power held, up to rounding.
-
-    The interference at k from the other users is summed once, with k's
-    column removed; what s moves is k's signal and, for a user on several
-    heads, its own signal received from the other heads.  Each evaluation is
-    then O(M*N)."""
-    g = ch.gamma[:, k:k + 1, :]                # (M, 1, N) k's gain from each head
-    own = p[:, k:k + 1, :] * g                 # k's signal from each head
-    others = p.copy()
-    others[:, k, :] = 0.0
-    stronger = ch.rank < ch.rank[:, k:k + 1, :]  # (M, K, N) users decoded before k
-    same = np.einsum("min,min->mn", stronger, others)[:, None]
-    floor = (ch.sigma[:, k:k + 1, :] + g * same
-             + other_heads(others.sum(axis=1, keepdims=True) * g))
-    self_cross = other_heads(own)
-    w = cfg.weights[:, k]
-
-    def rate(s: float) -> float:
-        return float(w @ np.log2(1.0 + s * own / (floor + s * self_cross)).sum(axis=(1, 2)))
-
-    return rate
 
 
 def weighted_sum_rate(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig) -> float:

@@ -49,9 +49,10 @@ way, and the feasibility check those of the powered entries.
 
 Every interference sum comes from ``model``: the rounds' from the seated
 entry list (its floor, and the adjoint same-head and other-head sums),
-which reads no unseated entry, and the repair's rates from ``model``'s
-(M, K, N) rate chain, whose same-head sum follows the channel's decode
-rank.
+which reads no unseated entry, the streaming trim's and boost's rates from
+the entry list of the repair's current support (``SeatedEntries.user_rates``),
+and only the feasibility check's, the independent gate, from the dense
+(M, K, N) rate chain.
 
 The printed closed-form updates this solver descends from show inconsistent
 index patterns in their pressure sums, so all terms here are derived directly
@@ -204,7 +205,7 @@ class PhaseTimes:
     sweep: float = 0.0        # closed-form power update and its step test
     dual_update: float = 0.0  # rate and cancellation-order multipliers
     repair_sic: float = 0.0   # cancellation-order repair and budget rescale
-    trim: float = 0.0         # streaming trim and the final rate test
+    trim: float = 0.0         # streaming trim
     boost: float = 0.0        # streaming boost
     check: float = 0.0        # check_feasibility and the returned objective
 
@@ -367,11 +368,9 @@ class ScaleSolver:
         stats.rounds = len(best_objs)
         stats.fixed_point_residual = best_res
 
-        repaired, feasible = ctx.repair(p, times)
+        alloc = PowerAllocation(p=ctx.repair(p, times))
         t = time.perf_counter()
-        alloc = PowerAllocation(p=repaired)
-        if feasible:
-            feasible = model.check_feasibility(alloc, ch, cfg, ctx.min_rates).ok
+        feasible = model.check_feasibility(alloc, ch, cfg, ctx.min_rates).ok
 
         # never return something worse than a feasible warm start
         if warm_start is not None and (
@@ -410,7 +409,7 @@ class ScaleSolver:
         ctx.seat(p0 > ctx.p_floor)
         duals = ctx.fresh_duals()
         p_e = ctx.entries.take(p0)
-        z = ctx.sinr(p_e)
+        z = ctx.entries.sinr(p_e)
         xi = np.zeros(cfg.n_rrh)
         eps1 = tol.varpi1_rel * cfg.p_max
         eps2 = tol.varpi2_rel * cfg.p_max
@@ -439,7 +438,7 @@ class ScaleSolver:
                 stats.total_sweeps += 1
                 if v >= _MIN_SWEEPS and np.all(delta < eps1):
                     break
-            z_end = ctx.sinr(p_e)
+            z_end = ctx.entries.sinr(p_e)
             obj, r_user = ctx.surrogate(p_e, z_end, coeffs)
             if obj < obj_round:
                 p_e = p_round
@@ -619,10 +618,6 @@ class _SolveContext:
                             self.p_floor)
 
     # -- surrogate objective ---------------------------------------------------
-    def sinr(self, p: np.ndarray) -> np.ndarray:
-        """(E,) the SINRs at the seated powers p (E,)."""
-        return p * self.entries.gamma / self.entries.noise_floor(p)[0]
-
     def surrogate(self, p: np.ndarray, z: np.ndarray,
                   coeffs: ScaleCoefficients) -> tuple[float, np.ndarray]:
         """The surrogate objective, rate bound minus e times power, and the
@@ -642,13 +637,14 @@ class _SolveContext:
         return bool(np.any(at_cap & short))
 
     # -- repair -----------------------------------------------------------------
-    def repair(self, p: np.ndarray, times: PhaseTimes) -> tuple[np.ndarray, bool]:
+    def repair(self, p: np.ndarray, times: PhaseTimes) -> np.ndarray:
         """Project the converged iterate onto the hard constraint set: drop
         sub-threshold powers, restore the cancellation order, rescale to the
         budgets, then lift streaming users back to their minimum rates.  The
         iterate's support lies inside its start's exclusive seating (every
         unseated entry sits at the log floor), so one head per user and the
-        per-subcarrier user limit already hold."""
+        per-subcarrier user limit already hold.  Whether the result meets
+        the streaming rates is left to ``model.check_feasibility``."""
         cfg, ch = self.cfg, self.ch
         t = time.perf_counter()
         q = p.copy()
@@ -660,7 +656,6 @@ class _SolveContext:
         self._repair_sic(q)
         t = times.lap("repair_sic", t)
 
-        ok = True
         if self.streaming:
             banned = np.zeros_like(q, dtype=bool)
             for _ in range(4):
@@ -681,13 +676,8 @@ class _SolveContext:
             # a trim moves the cross interference at other heads, which can
             # turn a cancellation margin positive
             self._repair_sic(q)
-            t = times.lap("repair_sic", t)
-            rates = model.per_user_rate(PowerAllocation(p=q), ch, cfg)
-            ok = bool(np.all(rates[self.streaming]
-                             >= self.min_rates[self.streaming]
-                             - cfg.tolerances.c13_rate_tol))
-            times.lap("trim", t)
-        return q, ok
+            times.lap("repair_sic", t)
+        return q
 
     def _repair_sic(self, q: np.ndarray) -> np.ndarray:
         """Silence one side of any active pair whose cancellation margin is
@@ -766,29 +756,36 @@ def _trim_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
                     min_rates: np.ndarray) -> None:
     """Scale each streaming user's powers down until its rate sits just above
     its minimum.  Trimming only removes interference, so every other user's
-    rate can only rise; the bisection controls the trimmed user's own rate,
-    through ``model.user_rate_curve`` since nothing else moves."""
-    streaming = cfg.streaming_users()
+    rate can only rise.  The rates are read on one entry list of p's support,
+    which the trim keeps, since it only scales.  In the repair each user sits
+    on one head, so its own powers stay out of its floor: with z its SINRs,
+    scaling its powers by s gives the rate w_k @ log2(1 + s*z) exactly."""
+    ent = model.seated_entries(ch, p > 0)
+    p_e = ent.take(p)
+    weight = cfg.weights[ent.head, ent.user]
+    users = [(k, np.flatnonzero(ent.user == k)) for k in cfg.streaming_users()]
     for _ in range(_TRIM_PASSES):
         trimmed = False
-        for k in streaming:
-            if p[:, k, :].max() <= 0:
+        for k, mine in users:
+            if mine.size == 0:
                 continue
-            rate_at = model.user_rate_curve(p, ch, cfg, k)
+            z, w = ent.sinr(p_e)[mine], weight[mine]
             target = min_rates[k] + _TRIM_MARGIN
-            if rate_at(1.0) <= target:
+            if w @ np.log2(1.0 + z) <= target:
                 continue
             lo, hi = 0.0, 1.0
             for _ in range(30):
                 mid = 0.5 * (lo + hi)
-                if rate_at(mid) >= target:
+                if w @ np.log2(1.0 + mid * z) >= target:
                     hi = mid
                 else:
                     lo = mid
-            p[:, k, :] *= hi
-            trimmed = True
+            if hi < 1.0:
+                p_e[mine] *= hi
+                trimmed = True
         if not trimmed:
             break
+    p.flat[ent.flat] = p_e
 
 
 def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
@@ -802,7 +799,9 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
     (for example removed by the cancellation-order repair) are never used.
     When the budget runs out, elastic powers on the same RRH are shrunk to
     make headroom; a user whose serving head is exhausted is moved wholesale
-    to its next-best head.  Returns (powers, success)."""
+    to its next-best head.  Every rate is read on an entry list
+    (``seated_entries``) that holds every powered cell.  Returns (powers,
+    success)."""
     streaming = cfg.streaming_users()
     elastic = cfg.elastic_mask()
     tol = cfg.tolerances.c13_rate_tol
@@ -810,9 +809,19 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
     scores = service_scores(cfg, ch)
     tried: dict[int, set] = {k: set() for k in streaming}
 
-    def fill(k: int, m: int) -> bool:
-        """Water-fill user k on head m; True if any power was added."""
-        progressed = False
+    def rates_at(ent: model.SeatedEntries | None = None) -> np.ndarray:
+        """(K,) the user rates at p, read on ent, else on the list of p > 0."""
+        if ent is None:
+            ent = model.seated_entries(ch, p > 0)
+        return ent.user_rates(ent.take(p), cfg.weights)
+
+    def fill(k: int, m: int) -> float:
+        """Water-fill user k on head m; returns k's rate after.  The fill
+        powers, evicts and shrinks only cells of its entry list: the powered
+        ones and k's row on head m."""
+        support = p > 0
+        support[m, k, :] = True
+        ent = model.seated_entries(ch, support)
         for n in np.argsort(ch.gamma[m, k, :])[::-1]:
             if banned[m, k, n]:
                 continue
@@ -832,28 +841,25 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
             if delta <= 1e-12 * cfg.p_mask[m, k, n]:
                 continue
             p[m, k, n] += delta
-            progressed = True
-            rate_k = model.user_rate_curve(p, ch, cfg, k)(1.0)
-            if rate_k >= min_rates[k] - tol * 0.5:
+            if rates_at(ent)[k] >= min_rates[k] - tol * 0.5:
                 break
-        return progressed
+        return rates_at(ent)[k]
 
     min_gain = 0.05  # bits/s/Hz a round must deliver to count as progress
     for _ in range(4 * len(streaming) + 4):
-        rates = model.per_user_rate(PowerAllocation(p=p), ch, cfg)
+        rates = rates_at()
         deficits = np.where(elastic, 0.0, min_rates - rates)
         deficient = [k for k in streaming if deficits[k] > tol * 0.5]
         if not deficient:
             return p, True
         any_progress = False
         for k in sorted(deficient, key=lambda k: -deficits[k]):
-            rate0 = model.user_rate_curve(p, ch, cfg, k)(1.0)
+            rate0 = rates_at()[k]
             totals = p.sum(axis=2)
             m = (int(np.argmax(totals[:, k])) if totals[:, k].max() > 0
                  else int(np.argmax(scores[:, k])))
             tried[k].add(m)
-            fill(k, m)
-            rate1 = model.user_rate_curve(p, ch, cfg, k)(1.0)
+            rate1 = fill(k, m)
             if rate1 >= min_rates[k] - tol * 0.5 or rate1 > rate0 + min_gain:
                 any_progress = True
                 continue
@@ -864,12 +870,11 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
             if others:
                 p[:, k, :] = 0.0
                 tried[k].add(int(others[0]))
-                fill(k, int(others[0]))
-                rate2 = model.user_rate_curve(p, ch, cfg, k)(1.0)
+                rate2 = fill(k, int(others[0]))
                 if rate2 >= min_rates[k] - tol * 0.5 or rate2 > rate0 + min_gain:
                     any_progress = True
         if not any_progress:
             return p, False
-    rates = model.per_user_rate(PowerAllocation(p=p), ch, cfg)
+    rates = rates_at()
     ok = bool(np.all(rates[streaming] >= min_rates[streaming] - tol))
     return p, ok

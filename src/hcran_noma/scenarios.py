@@ -193,6 +193,12 @@ class Scenario:
             raise ConfigError(f"unknown sweep variable {self.sweep!r}")
         if self.solver not in ("scale", "polyblock"):
             raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.sweep in ("users", "streaming", "lpn"):
+            # a count sweep runs int(value): a fraction would mislabel its row
+            for value in self.values:
+                if not float(value).is_integer():
+                    raise ConfigError(f"values of a {self.sweep} sweep must be "
+                                      f"whole numbers, got {value!r}")
 
 
 @dataclass

@@ -93,7 +93,11 @@ class TestLoadConfig:
                                            ("values: [1, null]\n", "values"),
                                            ("arrival_rate: -1\n", "arrival_rate"),
                                            ("queue_packets: 0\n", "queue_packets"),
-                                           ("packet_bits: -512\n", "packet_bits")])
+                                           ("packet_bits: -512\n", "packet_bits"),
+                                           # a count sweep runs whole counts only
+                                           ("sweep: users\nvalues: [3, 2.5]\n", "values"),
+                                           ("sweep: streaming\nvalues: [0.5]\n", "values"),
+                                           ("sweep: lpn\nvalues: [1, 1.5]\n", "values")])
     def test_bad_values_and_traffic_named(self, tmp_path, text, key):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
@@ -262,6 +266,8 @@ class TestCommands:
         ("sweep --values a,b", None, "values"),
         ("overhead --k-range 4", None, "k_range"),
         ("overhead --k-range 8:4", None, "k_range"),
+        ("sweep --sweep users --values 3,2.5", None, "values"),
+        ("sweep --sweep lpn", "values: [1, 1.5]\n", "values"),
     ])
     def test_bad_values_and_traffic_reported(self, tmp_path, capsys, command, text, key):
         argv = command.split()

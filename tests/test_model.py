@@ -217,23 +217,23 @@ class TestSeatedEntries:
         assert self._close(ent.adjoint_same(ent.take(x)), ent.take(weaker))
         assert self._close(ent.adjoint_cross(ent.take(x)), ent.take(other))
 
-
-class TestUserRateCurve:
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(1, 3), k=st.integers(1, 5), n=st.integers(1, 3),
            two_heads=st.booleans(), n_off=st.integers(0, 2),
-           quiet=st.sampled_from([1.0, 1e-6]),
-           s=st.sampled_from([0.0, 1e-6, 0.3, 1.0, 2.5]),
+           quiet=st.sampled_from([1.0, 1e-6]), spare=st.sampled_from([0.0, 0.5]),
            ties=st.booleans(), seed=st.integers(0, 2**16))
     # a loud own head next to a quiet other head: an all-head total minus the
     # own head's part would round away most of the quiet head's interference
-    @example(m=2, k=2, n=1, two_heads=True, n_off=0, quiet=1.0, s=1e-6, ties=False, seed=1)
-    @example(m=2, k=2, n=1, two_heads=True, n_off=0, quiet=1e-6, s=1e-6, ties=False, seed=1)
-    def test_matches_per_user_rate(self, m, k, n, two_heads, n_off, quiet, s, ties, seed):
+    @example(m=2, k=2, n=1, two_heads=True, n_off=0, quiet=1.0, spare=0.0, ties=False, seed=1)
+    @example(m=2, k=2, n=1, two_heads=True, n_off=0, quiet=1e-6, spare=0.0, ties=False, seed=1)
+    def test_user_rates_match_manual_sinr(self, m, k, n, two_heads, n_off, quiet, spare,
+                                          ties, seed):
         # an exclusive seating (one head per user), optionally with user 0 on
         # two heads, the last n_off users without power, and every head but
         # head 0 quiet (which a total-minus-own cross term would cancel away);
-        # with ties, gains from two levels, so the lower index decodes first
+        # with ties, gains from two levels, so the lower index decodes first.
+        # The list holds the powered entries plus, with spare, unpowered ones,
+        # which count as zero
         rng = np.random.default_rng(seed)
         cfg = make_config(m=m, k=k, n=n,
                           weights=rng.uniform(0.2, 1.0, (m, k)))
@@ -250,17 +250,17 @@ class TestUserRateCurve:
         if n_off:
             p[:, -n_off:, :] = 0.0
         p[1:] *= quiet
+        ent = model.seated_entries(ch, (p > 0) | (rng.random(p.shape) < spare))
+        got = ent.user_rates(ent.take(p), cfg.weights)
+        assert got.shape == (k,)
+        expected = model.per_user_rate(PowerAllocation(p=p), ch, cfg)
         for user in range(k):
-            scaled = p.copy()
-            scaled[:, user, :] *= s
-            got = model.user_rate_curve(p, ch, cfg, user)(s)
             oracle = sum(
                 cfg.weights[mm, user] * np.log2(1.0 + manual_sinr(
-                    scaled, ch.gamma, ch.sigma, mm, user, nn))
+                    p, ch.gamma, ch.sigma, mm, user, nn))
                 for mm in range(m) for nn in range(n))
-            assert got == pytest.approx(oracle, rel=1e-12), (user, got, oracle)
-            expected = model.per_user_rate(PowerAllocation(p=scaled), ch, cfg)[user]
-            assert got == pytest.approx(expected, rel=1e-12), (user, got, expected)
+            assert got[user] == pytest.approx(oracle, rel=1e-12), (user, got, oracle)
+            assert got[user] == pytest.approx(expected[user], rel=1e-12)
 
 
 class TestPower:

@@ -72,7 +72,7 @@ class TestApproxRate:
         ch = make_channel(cfg, seed=1)
         p = np.random.default_rng(2).uniform(0.01, 0.5, ch.gamma.shape)
         ctx, p_e = self._seated(cfg, ch, np.ones(p.shape, dtype=bool), p)
-        z = ctx.sinr(p_e)
+        z = ctx.entries.sinr(p_e)
         objective, r_user = ctx.surrogate(p_e, z, coeffs_at(z))
         alloc = PowerAllocation(p=p)
         assert r_user == pytest.approx(model.per_user_rate(alloc, ch, cfg), rel=1e-10)
@@ -83,7 +83,7 @@ class TestApproxRate:
         shape = (1, 1, 1)
         ch = ChannelState(gamma=np.full(shape, 8.0), sigma=np.ones(shape))
         ctx, p_e = self._seated(cfg, ch, np.ones(shape, dtype=bool), np.ones(shape))
-        _, r_user = ctx.surrogate(p_e, ctx.sinr(p_e), _high_sir((1,)))  # SINR 8
+        _, r_user = ctx.surrogate(p_e, ctx.entries.sinr(p_e), _high_sir((1,)))  # SINR 8
         assert r_user[0] == pytest.approx(3.0)
         assert r_user[0] <= np.log2(9.0)
 
@@ -99,8 +99,8 @@ class TestApproxRate:
             p_ref = np.where(seated, rng.uniform(1e-6, 0.5, ch.gamma.shape), floor)
             p = np.where(seated, rng.uniform(1e-6, 0.5, ch.gamma.shape), floor)
             ctx, p_e = self._seated(cfg, ch, seated, p)
-            coeffs = coeffs_at(ctx.sinr(ctx.entries.take(p_ref)))
-            objective, r_user = ctx.surrogate(p_e, ctx.sinr(p_e), coeffs)
+            coeffs = coeffs_at(ctx.entries.sinr(ctx.entries.take(p_ref)))
+            objective, r_user = ctx.surrogate(p_e, ctx.entries.sinr(p_e), coeffs)
             alloc = PowerAllocation(p=p)
             r_true = np.einsum("mk,mkn->k", cfg.weights, model.rate_array(p, ch))
             assert np.all(r_user <= r_true + 1e-9)
@@ -426,6 +426,35 @@ class TestSeatedRounds:
         assert len(round_objs) >= 2
         assert calls == []
 
+    def test_repair_reads_no_dense_rates(self, monkeypatch):
+        # the streaming trim and boost read every rate on an entry list: no
+        # (M, K, N) rate chain, and every user stays on one head.  Both move
+        # powers on this draw (the boost's strict xfail in TestInnerSolve)
+        cfg = build_config("hcran", k_total=32, k_streaming=8,
+                           rng=np.random.default_rng(14), m_f=3, n_subcarriers=32)
+        ch = gen_channel(cfg, 31)
+        ctx = _SolveContext(ch, cfg, e=0.0)
+        p, _, _ = ScaleSolver()._run_rounds(ctx, greedy_init(cfg, ch), scale.SolveStats())
+        moved = set()
+        for name in ("_trim_streaming", "_boost_streaming"):
+            def watching(q, *args, _name=name, _real=getattr(scale, name)):
+                before = q.copy()
+                out = _real(q, *args)
+                if not np.array_equal(q, before):
+                    moved.add(_name)
+                return out
+            monkeypatch.setattr(scale, name, watching)
+        calls = []
+        for name in ("noise_floor", "sinr_array", "rate_array", "per_user_rate"):
+            def counting(*args, _name=name, _real=getattr(model, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(model, name, counting)
+        q = ctx.repair(p, scale.PhaseTimes())
+        assert moved == {"_trim_streaming", "_boost_streaming"}
+        assert calls == []
+        assert np.all((q > 0).any(axis=2).sum(axis=0) <= 1)
+
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 3), k=st.integers(1, 4), n=st.integers(1, 3),
            density=st.floats(0.0, 1.0), e=st.floats(0.0, 3.0),
@@ -448,7 +477,7 @@ class TestSeatedRounds:
         take = ctx.entries.take
         p_e = take(p)
         objective, r_user = ctx.surrogate(
-            p_e, ctx.sinr(p_e),
+            p_e, ctx.entries.sinr(p_e),
             ScaleCoefficients(alpha=take(coeffs.alpha), beta=take(coeffs.beta)))
 
         r_hat = cfg.weights[:, :, None] * (
