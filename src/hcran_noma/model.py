@@ -345,10 +345,11 @@ class SeatedEntries:
                    at_weak: np.ndarray | None = None) -> np.ndarray:
         """(E,) per-pair values (L,) summed onto the pairs' members:
         at_strong onto each pair's strong member, at_weak onto its weak one."""
-        out = np.zeros(len(self))
-        for pos, x in ((self.strong, at_strong), (self.weak, at_weak)):
-            if x is not None:
-                out += np.bincount(pos, weights=x, minlength=len(self))
+        if at_strong is None:
+            return np.bincount(self.weak, weights=at_weak, minlength=len(self))
+        out = np.bincount(self.strong, weights=at_strong, minlength=len(self))
+        if at_weak is not None:
+            out += np.bincount(self.weak, weights=at_weak, minlength=len(self))
         return out
 
     def cross(self, x: np.ndarray) -> np.ndarray:

@@ -20,7 +20,14 @@ snapshot per iteration.  The per-RRH budget multipliers are solved to
 complementary slackness inside each sweep, by a safeguarded Newton solve
 warm-started from the previous sweep (the deep interference-limited regime
 makes the plain fixed-point iteration scale-degenerate otherwise); the rate
-and cancellation-order multipliers follow projected subgradients.  Rounds
+and cancellation-order multipliers follow projected subgradients.  A sweep
+runs on arrays of a few hundred entries, where numpy's fixed cost per call
+rivals the arithmetic, so it keeps its calls few: each Newton step of the
+budget solve computes every head's power sum in one vectorised pass and
+then runs each head's control (bracket, target, step) on Python floats;
+what holds for a whole start (each head's run of entries) or a whole
+budget solve (the entries with no positive numerator) is computed once;
+and the stop test's step size is formed only once it may stop.  Rounds
 re-tighten the rate bound (and the linearization) at the current point; a
 round that fails to improve the surrogate objective is rejected, which makes
 both the recorded round objectives and the true objective nondecreasing
@@ -63,6 +70,7 @@ cross-checks the vectorized sweep against an independent scalar evaluator.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -166,7 +174,7 @@ class StepRule:
 
     @staticmethod
     def at(v: int) -> float:
-        return 1.0 / float(np.sqrt(max(v, 1)))
+        return 1.0 / math.sqrt(max(v, 1))
 
 
 @dataclass
@@ -184,9 +192,10 @@ def dual_update(duals: DualState, slacks: ConstraintSlacks, step: StepRule,
     instead of overflowing.  The budget multipliers xi pass through: the
     sweep solves them exactly."""
     damp = step.at(v)
-    zeta = np.clip(duals.zeta + damp * step.zeta_step * slacks.rate, 0.0, step.zeta_cap)
-    zeta_t = np.clip(duals.zeta_t + damp * step.sic_step * slacks.sic,
-                     0.0, step.sic_cap)
+    zeta = np.minimum(np.maximum(duals.zeta + damp * step.zeta_step * slacks.rate, 0.0),
+                      step.zeta_cap)
+    zeta_t = np.minimum(np.maximum(duals.zeta_t + damp * step.sic_step * slacks.sic, 0.0),
+                        step.sic_cap)
     return DualState(xi=duals.xi, zeta=zeta, zeta_t=zeta_t)
 
 
@@ -243,10 +252,11 @@ def _closed_form(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
     """Vector form of the scalar updates: num/den clamped to the mask, mask on
     a non-positive denominator, and a tiny positive floor instead of an exact
     zero so log-domain quantities stay defined."""
+    pos = den > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(den > 0, num / np.where(den > 0, den, 1.0), mask)
+        raw = np.where(pos, num / np.where(pos, den, 1.0), mask)
     raw = np.where(num <= 0, 0.0, raw)
-    return np.maximum(np.clip(raw, 0.0, mask), floor)
+    return np.maximum(np.minimum(raw, mask), floor)  # raw >= 0 here
 
 
 def _budget_power_sum(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
@@ -254,15 +264,17 @@ def _budget_power_sum(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
     """Per-head power S(xi), the sum of the closed-form powers of the head's
     entries at budget multipliers xi (as ``_closed_form`` without its
     floor), and dS/dxi, the right derivative: -sum of num/(den_rest + xi)**2
-    over the entries with num > 0 that sit at or below their mask.  The
-    entries are flat, each on head ``head``."""
+    over the entries that sit at or below their mask.  The entries are
+    flat, each on head ``head``; num and mask must be zero where the
+    closed form's numerator is non-positive (``_budget_dual`` zeroes them
+    once per solve), so those entries add exact zeros to both sums."""
     d = den_rest + xi[head]
     pos = d > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         raw = num / d     # read only where d > 0; an overflow sits at the mask
         slope = raw / d
-    p = np.where(num <= 0, 0.0, np.where(pos, np.minimum(raw, mask), mask))
-    free = pos & (num > 0) & (raw <= mask)
+    p = np.where(pos, np.minimum(raw, mask), mask)
+    free = pos & (raw <= mask)
     return (np.bincount(head, weights=p, minlength=xi.size),
             -np.bincount(head, weights=np.where(free, slope, 0.0), minlength=xi.size))
 
@@ -276,47 +288,64 @@ def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
     from the feasible side.  The entries are flat, each on head ``head``.
 
     S is continuous and nonincreasing, and convex between the points where an
-    entry leaves its mask, so a safeguarded Newton solve runs on every head
-    at once from warm (the previous sweep's solution, else 0).  Each step
-    keeps a bracket [lo, hi] of evaluated points over and within the budget.
-    A Newton target outside it, or (once bracketed) one that does not at
-    least halve the previous step, is replaced by growth while no point
-    within the budget is known, else by bisection, which first tries xi = 0
-    while no point over the budget is known.  Targets are nudged by a
-    quarter of the tolerance toward the far side of the root, so the last
-    two steps close the bracket from both sides.
+    entry leaves its mask, so a safeguarded Newton solve runs on each head
+    from warm (the previous sweep's solution, else 0).  Each evaluation
+    computes S and its slope for every head at once (``_budget_power_sum``);
+    the heads' roots are independent, so each head's iteration is then
+    carried on Python floats.  Each step keeps a bracket [lo, hi] of
+    evaluated points over and within the budget.  A Newton target outside
+    it, or (once bracketed) one that does not at least halve the previous
+    step, or a zero slope, is replaced by growth while no point within the
+    budget is known, else by bisection, which first tries xi = 0 while no
+    point over the budget is known.  Targets are nudged by a quarter of the
+    tolerance toward the far side of the root, so the last two steps close
+    the bracket from both sides.  A head whose bracket has closed returns
+    its upper end once every head's has.
 
     A head that already fits at xi = 0 returns 0.  A head that ends the
     _BUDGET_MAX_EVALS evaluations with no point within its budget returns
     its largest evaluated xi and is counted in ``stats.budget_unbracketed``."""
-    m_count = budget.size
-    x = np.zeros(m_count) if warm is None else np.maximum(warm, 0.0)
-    lo = np.full(m_count, -np.inf)   # largest xi seen over the budget
-    hi = np.full(m_count, np.inf)    # smallest xi seen within it
-    step = np.full(m_count, np.inf)
-    nudge = 0.25 * _BUDGET_RTOL
+    off = num <= 0  # powered off at every xi
+    num, mask = np.where(off, 0.0, num), np.where(off, 0.0, mask)
+    limit = budget.tolist()
+    x = [0.0] * len(limit) if warm is None else np.maximum(warm, 0.0).tolist()
+    lo = [-math.inf] * len(limit)   # largest xi seen over the budget
+    hi = [math.inf] * len(limit)    # smallest xi seen within it
+    step = [math.inf] * len(limit)
+    up, down = 1.0 + 0.25 * _BUDGET_RTOL, 1.0 - 0.25 * _BUDGET_RTOL
     for _ in range(_BUDGET_MAX_EVALS):
-        s, ds = _budget_power_sum(num, den_rest, mask, head, x)
-        over = s > budget
-        lo = np.where(over, np.maximum(lo, x), lo)
-        hi = np.where(over, hi, np.minimum(hi, x))
-        floor = np.maximum(lo, 0.0)
-        done = floor >= (1.0 - _BUDGET_RTOL) * hi  # false while hi = inf
-        if done.all():
-            return hi
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            target = (x - (s - budget) / ds) * np.where(over, 1.0 + nudge, 1.0 - nudge)
-        newton = (target > floor) & (target < hi) & (
-            np.isinf(hi) | (np.abs(target - x) <= 0.5 * step))
-        fallback = np.where(np.isinf(hi), np.maximum(8.0 * lo, 1.0),
-                            np.where(lo < 0, 0.0, 0.5 * (lo + hi)))
-        x_next = np.where(done, hi, np.where(newton, target, fallback))
-        step = np.abs(x_next - x)
-        x = x_next
-    unbracketed = np.isinf(hi)
+        s, ds = _budget_power_sum(num, den_rest, mask, head, np.array(x))
+        all_done = True
+        for m, (s_m, ds_m) in enumerate(zip(s.tolist(), ds.tolist())):
+            x_m = x[m]
+            over = s_m > limit[m]
+            if over:
+                lo[m] = max(lo[m], x_m)
+            else:
+                hi[m] = min(hi[m], x_m)
+            lo_m, hi_m = lo[m], hi[m]
+            floor = max(lo_m, 0.0)
+            if floor >= (1.0 - _BUDGET_RTOL) * hi_m:  # false while hi = inf
+                continue  # closed for good: lo and hi only tighten
+            all_done = False
+            unbracketed = hi_m == math.inf
+            if unbracketed:
+                x_next = max(8.0 * lo_m, 1.0)
+            else:
+                x_next = 0.0 if lo_m < 0 else 0.5 * (lo_m + hi_m)
+            if ds_m != 0.0:
+                target = (x_m - (s_m - limit[m]) / ds_m) * (up if over else down)
+                if floor < target < hi_m and (unbracketed
+                                              or abs(target - x_m) <= 0.5 * step[m]):
+                    x_next = target
+            step[m] = abs(x_next - x_m)
+            x[m] = x_next
+        if all_done:
+            return np.array(hi)
+    n_unbracketed = sum(h == math.inf for h in hi)
     if stats is not None:
-        stats.budget_unbracketed += int(unbracketed.sum())
-    return np.where(unbracketed, lo, hi)
+        stats.budget_unbracketed += n_unbracketed
+    return np.array([l if h == math.inf else h for l, h in zip(lo, hi)])
 
 
 @dataclass
@@ -429,14 +458,15 @@ class ScaleSolver:
                                   cfg.p_max, xi, stats)
                 t = times.lap("budget", t)
                 p_next = ctx.sweep(snap, xi)
-                delta = ctx.head_max(np.abs(p_next - p_e))
+                settled = v >= _MIN_SWEEPS and np.all(
+                    ctx.head_max(np.abs(p_next - p_e)) < eps1)
                 t = times.lap("sweep", t)
                 duals = dual_update(duals, snap.slacks, ctx.step_rule, v)
                 duals.xi = xi
                 t = times.lap("dual_update", t)
                 p_e = p_next
                 stats.total_sweeps += 1
-                if v >= _MIN_SWEEPS and np.all(delta < eps1):
+                if settled:
                     break
             z_end = ctx.entries.sinr(p_e)
             obj, r_user = ctx.surrogate(p_e, z_end, coeffs)
@@ -503,11 +533,16 @@ class _SolveContext:
 
     def seat(self, seating: np.ndarray) -> None:
         """Carry the entries of one start, those ``seating`` (bool (M, K, N))
-        holds, and their pairs.  Sets ``entries`` and ``pairs``, the entries'
-        config constants and the ``step_rule`` over them."""
+        holds, and their pairs.  Sets ``entries`` and ``pairs``, the heads
+        that seat an entry and where their runs of entries start, the
+        entries' config constants and the ``step_rule`` over them."""
         cfg = self.cfg
         self.entries = ent = model.seated_entries(self.ch, seating)
         self.pairs = pairs = ent.pairs
+        # the entries are in rising flat order, so each head's are one run
+        counts = np.bincount(ent.head, minlength=self.shape[0])
+        self.head_seated = np.flatnonzero(counts)
+        self.head_start = (np.cumsum(counts) - counts)[self.head_seated]
         self.mask = ent.take(cfg.p_mask)
         self.weight = cfg.weights[ent.head, ent.user]
         self.elastic_e = self.elastic[ent.user]
@@ -535,7 +570,7 @@ class _SolveContext:
         """(M,) the largest of x (E,) >= 0 over each head's entries, 0 where
         a head has none."""
         out = np.zeros(self.shape[0])
-        np.maximum.at(out, self.entries.head, x)
+        out[self.head_seated] = np.maximum.reduceat(x, self.head_start)
         return out
 
     def fresh_duals(self) -> DualState:
@@ -565,7 +600,7 @@ class _SolveContext:
 
         floor, cross = ent.noise_floor(p)
         inv_floor = 1.0 / floor
-        _, r_user = self.surrogate(p, p * ent.gamma * inv_floor, coeffs)
+        _, r_user = self.surrogate_rates(p * ent.gamma * inv_floor, coeffs)
 
         zeta_of = np.where(self.elastic, 1.0, duals.zeta)
         c_rate = self.weight * zeta_of[ent.user] * coeffs.alpha
@@ -607,8 +642,8 @@ class _SolveContext:
 
         # clipped so an entirely unserved user cannot swing its multiplier by
         # hundreds of bits in one step
-        rate = np.clip(np.where(self.elastic, 0.0, self.min_rates - r_user),
-                       -2.0 * self.rate_scale, 2.0 * self.rate_scale)
+        rate = np.minimum(np.maximum(np.where(self.elastic, 0.0, self.min_rates - r_user),
+                                     -2.0 * self.rate_scale), 2.0 * self.rate_scale)
         return _Snapshot(num=num, den=den, slacks=ConstraintSlacks(rate=rate, sic=sic_slack))
 
     def sweep(self, snap: _Snapshot, xi: np.ndarray) -> np.ndarray:
@@ -623,11 +658,17 @@ class _SolveContext:
         """The surrogate objective, rate bound minus e times power, and the
         (K,) weighted surrogate user rates at the seated powers p (E,) with
         SINRs z (E,) and the bound coefficients at the entries."""
-        r_hat = self.weight * (coeffs.beta + coeffs.alpha * np.log2(np.maximum(z, _Z_FLOOR)))
-        r_user = np.bincount(self.entries.user, weights=r_hat, minlength=self.shape[1])
+        r_hat, r_user = self.surrogate_rates(z, coeffs)
         objective = float(np.sum(np.where(self.elastic_e, r_hat, 0.0))
                           - self.e * self.cfg.static_power() - np.dot(self.e_eta, p))
         return objective, r_user
+
+    def surrogate_rates(self, z: np.ndarray,
+                        coeffs: ScaleCoefficients) -> tuple[np.ndarray, np.ndarray]:
+        """The (E,) weighted surrogate entry rates at SINRs z (E,) and the
+        (K,) user rates they sum to."""
+        r_hat = self.weight * (coeffs.beta + coeffs.alpha * np.log2(np.maximum(z, _Z_FLOOR)))
+        return r_hat, np.bincount(self.entries.user, weights=r_hat, minlength=self.shape[1])
 
     def streaming_infeasible(self, duals: DualState, r_user: np.ndarray) -> bool:
         """A rate multiplier at its cap while the surrogate rate r_user (K,)
@@ -853,8 +894,9 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
         if not deficient:
             return p, True
         any_progress = False
-        for k in sorted(deficient, key=lambda k: -deficits[k]):
-            rate0 = rates_at()[k]
+        for i, k in enumerate(sorted(deficient, key=lambda k: -deficits[k])):
+            # nothing has moved since the round's rates until the first fill
+            rate0 = rates[k] if i == 0 else rates_at()[k]
             totals = p.sum(axis=2)
             m = (int(np.argmax(totals[:, k])) if totals[:, k].max() > 0
                  else int(np.argmax(scores[:, k])))

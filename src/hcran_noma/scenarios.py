@@ -206,6 +206,9 @@ class DrawResult:
     value: float
     draw: int
     feasible: bool
+    # the Dinkelbach status ("converged", "cap" or "stalled"), or
+    # "infeasible" when the first inner solve found no allocation
+    status: str
     ee: float = float("nan")
     sum_rate: float = float("nan")
     power: float = float("nan")
@@ -267,13 +270,13 @@ def run_draw(scenario: Scenario, value, draw: int) -> DrawResult:
     try:
         trace = dinkelbach.solve(ch, cfg, inner)
     except dinkelbach.InfeasibleProblemError:
-        return DrawResult(value=value, draw=draw, feasible=False,
+        return DrawResult(value=value, draw=draw, feasible=False, status="infeasible",
                           wall_s=time.perf_counter() - t0)
     alloc = trace.final_allocation
     report = model.energy_efficiency(alloc, ch, cfg)
     feasible = model.check_feasibility(alloc, ch, cfg).ok
-    return DrawResult(value=value, draw=draw, feasible=feasible, ee=report.ee,
-                      sum_rate=report.sum_rate, power=report.total_power,
+    return DrawResult(value=value, draw=draw, feasible=feasible, status=trace.status,
+                      ee=report.ee, sum_rate=report.sum_rate, power=report.total_power,
                       iterations=len(trace.iterations),
                       wall_s=time.perf_counter() - t0)
 

@@ -407,6 +407,56 @@ class TestSeatedPairs:
         _assert_sweep_matches_scalar(cfg, ch, seated, duals, p, p_lin)
 
 
+class TestHeadMax:
+    @staticmethod
+    def _assert_matches_maximum_at(ctx, x):
+        expected = np.zeros(ctx.shape[0])
+        np.maximum.at(expected, ctx.entries.head, x)
+        assert np.array_equal(ctx.head_max(x), expected)
+
+    def test_heads_without_entries_read_zero(self):
+        # every user on head 0: heads 1 and 2 hold no entry
+        cfg = make_config(m=3, k=4, n=3)
+        ch = make_channel(cfg, seed=2)
+        ctx = _SolveContext(ch, cfg, e=0.5)
+        ctx.seat(greedy_init(cfg, ch, heads=[0] * cfg.n_users) > ctx.p_floor)
+        assert set(ctx.entries.head.tolist()) == {0}
+        x = np.random.default_rng(3).uniform(0.0, 1.0, len(ctx.entries))
+        self._assert_matches_maximum_at(ctx, x)
+        assert np.array_equal(ctx.head_max(x)[1:], [0.0, 0.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 4),
+           density=st.sampled_from([0.0, 0.2, 0.6, 1.0]), seed=st.integers(0, 2**16))
+    def test_matches_maximum_at(self, m, k, n, density, seed):
+        cfg = make_config(m=m, k=k, n=n)
+        ch = make_channel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        ctx = _SolveContext(ch, cfg, e=0.5)
+        ctx.seat(rng.uniform(size=ch.gamma.shape) < density)
+        self._assert_matches_maximum_at(ctx, rng.uniform(0.0, 1.0, len(ctx.entries)))
+
+
+class TestTracedNames:
+    def test_module_functions_are_called_by_name(self, monkeypatch):
+        # the sweep calls coeffs_at and dual_update through the module, so a
+        # wrapper set on the module (as the benchmark's tracer sets one) sees
+        # every call
+        cfg = build_config("hcran", k_total=12, k_streaming=3,
+                           rng=np.random.default_rng(1), m_f=2, n_subcarriers=32)
+        ch = gen_channel(cfg, 1)
+        counts = dict.fromkeys(("coeffs_at", "dual_update"), 0)
+        for name in counts:
+            def counting(*args, _name=name, _real=getattr(scale, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(scale, name, counting)
+        trace = dinkelbach.solve(ch, cfg, ScaleSolver())
+        sweeps = sum(it.inner_stats.total_sweeps for it in trace.iterations)
+        assert counts["dual_update"] == sweeps > 0
+        assert counts["coeffs_at"] > 0
+
+
 class TestSeatedRounds:
     def test_rounds_read_no_dense_rates(self, monkeypatch):
         # the rounds re-tighten the bound and test their objective on the
@@ -643,6 +693,54 @@ def _bisection_root(num, den, mask, budget):
     return np.where(slack, 0.0, hi)
 
 
+def _reference_power_sum(num, den_rest, mask, head, xi):
+    """Per-head power sum and its right derivative, as vectorised (M,)
+    arrays: the reference for ``scale._budget_power_sum``."""
+    d = den_rest + xi[head]
+    pos = d > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        raw = num / d
+        slope = raw / d
+    p = np.where(num <= 0, 0.0, np.where(pos, np.minimum(raw, mask), mask))
+    free = pos & (num > 0) & (raw <= mask)
+    return (np.bincount(head, weights=p, minlength=xi.size),
+            -np.bincount(head, weights=np.where(free, slope, 0.0), minlength=xi.size))
+
+
+def _reference_budget_dual(num, den_rest, mask, head, budget, warm=None, stats=None):
+    """The safeguarded Newton budget solve with its per-head control on
+    (M,) arrays: the reference that ``scale._budget_dual``, which carries
+    the control on floats, must match bit for bit."""
+    m_count = budget.size
+    x = np.zeros(m_count) if warm is None else np.maximum(warm, 0.0)
+    lo = np.full(m_count, -np.inf)
+    hi = np.full(m_count, np.inf)
+    step = np.full(m_count, np.inf)
+    nudge = 0.25 * scale._BUDGET_RTOL
+    for _ in range(scale._BUDGET_MAX_EVALS):
+        s, ds = _reference_power_sum(num, den_rest, mask, head, x)
+        over = s > budget
+        lo = np.where(over, np.maximum(lo, x), lo)
+        hi = np.where(over, hi, np.minimum(hi, x))
+        floor = np.maximum(lo, 0.0)
+        done = floor >= (1.0 - scale._BUDGET_RTOL) * hi
+        if done.all():
+            return hi
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            target = (x - (s - budget) / ds) * np.where(over, 1.0 + nudge, 1.0 - nudge)
+        newton = (target > floor) & (target < hi) & (
+            np.isinf(hi) | (np.abs(target - x) <= 0.5 * step))
+        fallback = np.where(np.isinf(hi), np.maximum(8.0 * lo, 1.0),
+                            np.where(lo < 0, 0.0, 0.5 * (lo + hi)))
+        x_next = np.where(done, hi, np.where(newton, target, fallback))
+        step = np.abs(x_next - x)
+        x = x_next
+    unbracketed = np.isinf(hi)
+    if stats is not None:
+        stats.budget_unbracketed += int(unbracketed.sum())
+    return np.where(unbracketed, lo, hi)
+
+
 class TestBudgetSolve:
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 6),
@@ -680,6 +778,52 @@ class TestBudgetSolve:
         assert stats.budget_unbracketed == 1
         assert _power_sums(num, den, mask, xi)[0] > budget[0]
         assert xi[1] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 6),
+           warm=st.sampled_from(["none", "zero", "below", "above"]),
+           case=st.sampled_from(["plain", "zeros", "flat", "no_entries", "unbracketed"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=3, k=2, n=3, warm="none", case="unbracketed", seed=0)
+    @example(m=3, k=2, n=3, warm="above", case="no_entries", seed=1)
+    def test_matches_vectorised_reference(self, m, k, n, warm, case, seed):
+        # the inputs of test_matches_bisection, plus exact zeros in num and
+        # den, a head whose entries all sit at the mask (zero slope while it
+        # is over its budget), a head with no entries, and a root out of the
+        # evaluation cap's reach
+        rng = np.random.default_rng(seed)
+        shape = (m, k, n)
+        num = rng.uniform(-0.3, 1.0, shape) * 10.0 ** rng.uniform(-3, 3)
+        den = rng.uniform(-0.3, 1.0, shape) * 10.0 ** rng.uniform(-3, 3)
+        mask = rng.uniform(0.1, 2.0, shape) * 10.0 ** rng.uniform(-1, 1)
+        head = np.repeat(np.arange(m), k * n)
+        if case == "zeros":
+            num[rng.uniform(size=shape) < 0.3] = 0.0
+            den[rng.uniform(size=shape) < 0.3] = 0.0
+        elif case == "flat":
+            num[0] = np.abs(num[0]) + 1.0
+            den[0] = np.abs(den[0]) + 1.0
+            mask[0] = 1e-9 * num[0] / den[0]
+        elif case == "unbracketed":
+            num[0], den[0], mask[0] = 1e300, 1.0, 1.0
+        budget = _power_sums(num, den, mask, np.zeros(m)) * rng.uniform(0.05, 1.3, m)
+        if case == "unbracketed":
+            budget[0] = 0.5
+        num, den, mask = num.reshape(-1), den.reshape(-1), mask.reshape(-1)
+        if case == "no_entries":
+            kept = head != m - 1
+            num, den, mask, head = num[kept], den[kept], mask[kept], head[kept]
+        ref = _reference_budget_dual(num, den, mask, head, budget)
+        start = {"none": None, "zero": np.zeros(m),
+                 "below": ref * rng.uniform(0.0, 1.0, m),
+                 "above": ref * rng.uniform(1.0, 10.0, m) + rng.uniform(0, 1, m)}[warm]
+        stats, ref_stats = scale.SolveStats(), scale.SolveStats()
+        xi = _budget_dual(num, den, mask, head, budget, start, stats)
+        expected = _reference_budget_dual(num, den, mask, head, budget, start, ref_stats)
+        assert np.array_equal(xi, expected), (xi, expected)
+        assert stats.budget_unbracketed == ref_stats.budget_unbracketed
+        if case == "unbracketed":
+            assert stats.budget_unbracketed >= 1
 
     def test_few_power_sums_per_solve(self, monkeypatch):
         cfg = build_config("hcran", k_total=12, k_streaming=3,

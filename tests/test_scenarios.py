@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import hcran_noma
-from hcran_noma.model import ConfigError
+from hcran_noma import dinkelbach
+from hcran_noma.model import ConfigError, Tolerances
 from hcran_noma.scenarios import (PlacementError, Scenario, build_config,
                                   gen_channel, run_draw, run_sweep,
                                   tiny_instance)
@@ -103,6 +104,23 @@ class TestSweeps:
         a = run_draw(sc, 12, 0)
         b = run_draw(sc, 12, 0)
         assert a.ee == b.ee and a.feasible == b.feasible
+
+    def test_draw_reports_the_outer_status(self, monkeypatch):
+        traces = []
+        real = dinkelbach.solve
+
+        def capturing(*args, **kwargs):
+            traces.append(real(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(dinkelbach, "solve", capturing)
+        res = run_draw(self._scenario(), 12, 0)
+        assert res.status == traces[-1].status == "converged"
+        capped = run_draw(self._scenario(tolerances=Tolerances(outer_max=1)), 12, 0)
+        assert capped.status == traces[-1].status == "cap" and capped.feasible
+        # absurd minimum rates: the first inner solve finds no allocation
+        unsolved = run_draw(self._scenario(bandwidth_hz=1e-2), 12, 0)
+        assert unsolved.status == "infeasible" and not unsolved.feasible
 
     def test_rows_aggregate_feasible_draws(self):
         rows = run_sweep(self._scenario())
