@@ -200,9 +200,8 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     trace = dinkelbach.solve(ch, cfg, solver)
     wall = time.perf_counter() - t0
-    alloc = trace.final_allocation
-    report = model.energy_efficiency(alloc, ch, cfg)
-    feas = model.check_feasibility(alloc, ch, cfg)
+    report = trace.final_report
+    feas = model.check_feasibility(trace.final_allocation, ch, cfg)
     print(f"status={trace.status} iterations={len(trace.iterations)} "
           f"ee={report.ee:.6g} rate={report.sum_rate:.6g} "
           f"power={report.total_power:.6g} feasible={feas.ok} wall={wall:.2f}s")

@@ -17,12 +17,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
+import numpy as np
+
 from . import model
-from .model import ChannelState, NetworkConfig, PowerAllocation, surplus
+from .model import ChannelState, EnergyReport, NetworkConfig, PowerAllocation
+from .model import surplus  # noqa: F401  (re-exported to the package)
 
 
 class InfeasibleProblemError(RuntimeError):
     """The streaming constraints cannot be met by any allocation."""
+
+
+@dataclass
+class InnerResult:
+    """One fixed-parameter solve: the allocation and its one evaluation."""
+
+    allocation: PowerAllocation
+    status: str     # "ok" | "infeasible"
+    stats: object   # the solver's own record, with ``infeasible_reason``
+    report: EnergyReport  # rate, power and ratio of ``allocation``
 
 
 class InnerSolver(Protocol):
@@ -30,7 +43,23 @@ class InnerSolver(Protocol):
     constraint set, starting from warm_start when given."""
 
     def solve_fixed_e(self, ch: ChannelState, cfg: NetworkConfig, e: float,
-                      warm_start: PowerAllocation | None = None): ...
+                      warm_start: PowerAllocation | None = None) -> InnerResult: ...
+
+
+def check_inner_inputs(cfg: NetworkConfig, e: float,
+                       warm_start: PowerAllocation | None) -> None:
+    """Reject, before an inner solve starts, an efficiency parameter that is
+    not finite and non-negative, and a warm start that is not an (M, K, N)
+    array of finite, non-negative powers."""
+    model.check_parameter(e)
+    if warm_start is None:
+        return
+    p = warm_start.p
+    if p.shape != cfg.p_mask.shape:
+        raise ValueError(f"the warm start has shape {p.shape}, "
+                         f"expected {cfg.p_mask.shape}")
+    if not np.all((0.0 <= p) & (p < np.inf)):  # also rejects NaN
+        raise ValueError("the warm start's powers must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -45,6 +74,7 @@ class DinkelbachTrace:
     iterations: list[DinkelbachIteration] = field(default_factory=list)
     final_e: float = 0.0
     final_allocation: PowerAllocation | None = None
+    final_report: EnergyReport | None = None  # of final_allocation
     status: str = "converged"  # "converged" | "cap" | "stalled"
 
     @property
@@ -54,7 +84,8 @@ class DinkelbachTrace:
 
 def solve(ch: ChannelState, cfg: NetworkConfig, inner: InnerSolver) -> DinkelbachTrace:
     """Run the parametric iteration e_{i+1} = R(p_i)/P(p_i) until the surplus
-    drops below the configured tolerance.
+    drops below the configured tolerance.  R(p_i) and P(p_i) are read from
+    the inner result's report, so the loop evaluates nothing itself.
 
     Raises InfeasibleProblemError when the very first inner solve (e = 0, no
     warm start) reports infeasibility: no allocation meets the streaming
@@ -63,38 +94,34 @@ def solve(ch: ChannelState, cfg: NetworkConfig, inner: InnerSolver) -> Dinkelbac
     tol = cfg.tolerances
     trace = DinkelbachTrace()
     e = 0.0
-    warm: PowerAllocation | None = None
+    last: InnerResult | None = None
 
-    for i in range(tol.outer_max):
-        result = inner.solve_fixed_e(ch, cfg, e, warm_start=warm)
+    for _ in range(tol.outer_max):
+        result = inner.solve_fixed_e(
+            ch, cfg, e, warm_start=None if last is None else last.allocation)
         if result.status != "ok":
-            if warm is None:
+            if last is None:
                 raise InfeasibleProblemError(
                     "inner solver found no feasible allocation at e="
-                    f"{e:g}: {getattr(result.stats, 'infeasible_reason', None)}")
+                    f"{e:g}: {result.stats.infeasible_reason}")
             trace.status = "stalled"
             break
-        warm = result.allocation
-        s = surplus(warm, ch, cfg, e)
+        last = result
+        s = result.report.surplus(e)
         trace.iterations.append(DinkelbachIteration(e=e, surplus=s,
                                                     inner_stats=result.stats))
-        report = model.energy_efficiency(warm, ch, cfg)
         if s <= tol.xi:
-            trace.final_e = report.ee
-            trace.final_allocation = warm
             trace.status = "converged"
-            return trace
-        if report.ee <= e:
+            break
+        if result.report.ee <= e:
             # no measurable ratio improvement; the surplus says otherwise only
             # through numerical noise
             trace.status = "stalled"
             break
-        e = report.ee
+        e = result.report.ee
     else:
         trace.status = "cap"
 
-    if warm is None:
-        raise InfeasibleProblemError("inner solver produced no allocation")
-    trace.final_e = model.energy_efficiency(warm, ch, cfg).ee
-    trace.final_allocation = warm
+    trace.final_allocation, trace.final_report = last.allocation, last.report
+    trace.final_e = last.report.ee
     return trace

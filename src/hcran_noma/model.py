@@ -97,7 +97,7 @@ class Tolerances:
     outer_max: int = 30       # max fractional-programming iterations
     rho1: float | None = None
     rho2: float | None = None
-    dual_cap: float = 1e8     # multiplier divergence -> infeasibility flag
+    dual_cap: float = 1e8     # cap on the cancellation-order multipliers (scaled)
     c13_rate_tol: float = 1e-6  # bits/s/Hz band on min-rate feasibility
     c14_rel_tol: float = 1e-9   # relative band on the SIC margin products
     box_rel_tol: float = 1e-9   # relative band on mask/budget checks
@@ -419,18 +419,19 @@ def seated_entries(ch: ChannelState, support: np.ndarray) -> SeatedEntries:
 
 @dataclass
 class PowerAllocation:
-    """Continuous transmit powers plus (optionally) derived binary indicators."""
+    """Continuous transmit powers (``derive_binaries`` gives the indicators)."""
 
-    p: np.ndarray                 # (M, K, N) W
-    rho: np.ndarray | None = None  # (M, K, N) in {0, 1}
-    a: np.ndarray | None = None    # (M, K) in {0, 1}
+    p: np.ndarray  # (M, K, N) W
 
     def copy(self) -> "PowerAllocation":
-        return PowerAllocation(
-            p=self.p.copy(),
-            rho=None if self.rho is None else self.rho.copy(),
-            a=None if self.a is None else self.a.copy(),
-        )
+        return PowerAllocation(p=self.p.copy())
+
+
+def check_parameter(e: float) -> None:
+    """Reject an efficiency parameter that is not finite and non-negative."""
+    if not 0.0 <= e < np.inf:  # also rejects NaN
+        raise ValueError(f"the efficiency parameter must be finite and "
+                         f"non-negative, got {e!r}")
 
 
 @dataclass(frozen=True)
@@ -438,6 +439,11 @@ class EnergyReport:
     sum_rate: float     # weighted elastic bits/s/Hz
     total_power: float  # W
     ee: float           # rate per watt
+
+    def surplus(self, e: float) -> float:
+        """Subtractive objective R(p) - e*P(p) of the reported allocation."""
+        check_parameter(e)
+        return self.sum_rate - e * self.total_power
 
 
 def zeros_like_alloc(cfg: NetworkConfig) -> PowerAllocation:
@@ -545,9 +551,7 @@ def energy_efficiency(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
 def surplus(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig,
             e: float) -> float:
     """Subtractive objective R(p) - e*P(p) at a given allocation."""
-    if e < 0:
-        raise ValueError("the efficiency parameter must be non-negative")
-    return weighted_sum_rate(alloc, ch, cfg) - e * total_power(alloc, cfg)
+    return energy_efficiency(alloc, ch, cfg).surplus(e)
 
 
 def sic_margin(alloc: PowerAllocation, ch: ChannelState,
@@ -626,7 +630,7 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
                       streaming_min_rates: np.ndarray | None = None) -> FeasibilityReport:
     """Collect violations of the continuous problem's constraints.
 
-    C4   0 <= p <= mask (exact up to float slack)
+    C4   0 <= p <= mask (exact up to float slack); a NaN power breaks it
     C10  cross-RRH power products of one user stay below rho1
     C11  products over any l_max+1 users on one (m, n) stay below rho2
     C12  per-RRH power budget
@@ -648,13 +652,13 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
     p = alloc.p
     out: list[Violation] = []
 
-    # C4: spectral mask box
+    # C4: spectral mask box, and NaN powers, which fail every comparison
     over = p - cfg.p_mask * (1 + tol.box_rel_tol)
     for m, k, n in zip(*np.nonzero(over > 0)):
         out.append(Violation("C4", (int(m), int(k), int(n)), float(over[m, k, n])))
-    if np.any(p < 0):
-        for m, k, n in zip(*np.nonzero(p < 0)):
-            out.append(Violation("C4", (int(m), int(k), int(n)), float(-p[m, k, n])))
+    for m, k, n in zip(*np.nonzero((p < 0) | np.isnan(p))):
+        out.append(Violation("C4", (int(m), int(k), int(n)),
+                             float(-p[m, k, n]) if p[m, k, n] < 0 else np.inf))
 
     # C10: one user must not carry real power on two RRHs.  The largest
     # cross-head product of a user is the product of its two largest

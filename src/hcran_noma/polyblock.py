@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
+from .dinkelbach import InnerResult, check_inner_inputs
 from .model import ChannelState, ConfigError, NetworkConfig, PowerAllocation
 
 # head assignments (M**K) above which no certificate is attempted
@@ -87,22 +87,13 @@ class _Boxes:
 
 @dataclass
 class PolyStats:
-    status: str = "ok"
     gap: float = float("nan")            # certified gap, upper_bound - objective
     upper_bound: float = float("nan")    # over every exclusive seating;
                                          # -inf when every box was pruned
     iterations: int = 0                  # popped boxes
     dim: int = 0                         # entries of one seating, K*N
     true_objective: float = float("nan")
-    wall_time: float = 0.0
     infeasible_reason: str | None = None
-
-
-@dataclass
-class PolyblockResultBundle:
-    allocation: PowerAllocation
-    status: str
-    stats: PolyStats
 
 
 class DimensionGuardError(ConfigError):
@@ -121,10 +112,8 @@ class PolyblockSolver:
         self.allow_high_dim = allow_high_dim
 
     def solve_fixed_e(self, ch: ChannelState, cfg: NetworkConfig, e: float,
-                      warm_start: PowerAllocation | None = None) -> PolyblockResultBundle:
-        t0 = time.perf_counter()
-        if e < 0:
-            raise ValueError("the efficiency parameter must be non-negative")
+                      warm_start: PowerAllocation | None = None) -> InnerResult:
+        check_inner_inputs(cfg, e, warm_start)
         m_count, k_count, n_count = ch.gamma.shape
         stats = PolyStats(dim=k_count * n_count)
         if m_count ** k_count > _MAX_SEATINGS:
@@ -137,14 +126,15 @@ class PolyblockSolver:
                 f"({self.max_dim}); pass allow_high_dim=True to override")
 
         boxes = _Boxes(ch, cfg, e)
-        best_p, best_val = None, -np.inf
+        best_p, best_val, best_report = None, -np.inf, None
 
         def offer(p: np.ndarray) -> None:
-            nonlocal best_p, best_val
+            nonlocal best_p, best_val, best_report
             alloc = PowerAllocation(p=p)
-            val = model.surplus(alloc, ch, cfg, e)
+            report = model.energy_efficiency(alloc, ch, cfg)
+            val = report.surplus(e)
             if val > best_val and model.check_feasibility(alloc, ch, cfg).ok:
-                best_p, best_val = p.copy(), val
+                best_p, best_val, best_report = p.copy(), val, report
 
         heap: list = []
         order = itertools.count()  # ties pop first-pushed first
@@ -176,15 +166,13 @@ class PolyblockSolver:
             b_left[i] = a_right[i] = mid
             push(np.stack([a, a_right]), np.stack([b_left, b]))
 
-        stats.wall_time = time.perf_counter() - t0
         stats.upper_bound = max(-heap[0][0] if heap else -np.inf, best_val)
         if best_p is None:
-            stats.status = "infeasible"
             stats.infeasible_reason = ("no feasible point within the box budget"
                                        if heap else "every box was pruned")
-            return PolyblockResultBundle(model.zeros_like_alloc(cfg), "infeasible", stats)
-        alloc = PowerAllocation(p=best_p)
-        alloc.rho, alloc.a = model.derive_binaries(alloc, cfg)
+            alloc = model.zeros_like_alloc(cfg)
+            return InnerResult(alloc, "infeasible", stats,
+                               model.energy_efficiency(alloc, ch, cfg))
         stats.true_objective = best_val
         stats.gap = stats.upper_bound - best_val
-        return PolyblockResultBundle(alloc, "ok", stats)
+        return InnerResult(PowerAllocation(p=best_p), "ok", stats, best_report)

@@ -78,6 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
+from .dinkelbach import InnerResult, check_inner_inputs
 from .model import (LN2, ChannelState, NetworkConfig, PowerAllocation,
                     cross_interference)
 
@@ -165,11 +166,13 @@ class DualState:
 class StepRule:
     """Diminishing subgradient schedule step_v = gain/sqrt(v), one pre-scaled
     gain per subgradient multiplier family: a full-scale violation moves the
-    multiplier by an O(gain) fraction of its useful magnitude."""
+    multiplier by an O(gain) fraction of its useful magnitude.  Only the
+    cancellation-order multipliers are capped (sic_cap): the rate residual
+    is clipped to +-2*rate_scale in ``analyze``, so a rate multiplier grows
+    by at most 1.6/sqrt(v) per sweep and needs no cap."""
 
     zeta_step: np.ndarray    # (K,)
     sic_step: np.ndarray     # (L,) one per seated pair
-    zeta_cap: float
     sic_cap: float
 
     @staticmethod
@@ -187,13 +190,12 @@ class ConstraintSlacks:
 
 def dual_update(duals: DualState, slacks: ConstraintSlacks, step: StepRule,
                 v: int = 1) -> DualState:
-    """One projected subgradient step: mu <- max(0, mu + step_v * residual),
-    capped per family so a persistently infeasible constraint is detected
-    instead of overflowing.  The budget multipliers xi pass through: the
-    sweep solves them exactly."""
+    """One projected subgradient step: mu <- max(0, mu + step_v * residual).
+    The cancellation-order multipliers are also capped at step.sic_cap; the
+    rate multipliers are bounded by their clipped residual (``StepRule``).
+    The budget multipliers xi pass through: the sweep solves them exactly."""
     damp = step.at(v)
-    zeta = np.minimum(np.maximum(duals.zeta + damp * step.zeta_step * slacks.rate, 0.0),
-                      step.zeta_cap)
+    zeta = np.maximum(duals.zeta + damp * step.zeta_step * slacks.rate, 0.0)
     zeta_t = np.minimum(np.maximum(duals.zeta_t + damp * step.sic_step * slacks.sic, 0.0),
                         step.sic_cap)
     return DualState(xi=duals.xi, zeta=zeta, zeta_t=zeta_t)
@@ -227,7 +229,6 @@ class PhaseTimes:
 
 @dataclass
 class SolveStats:
-    status: str = "ok"
     rounds: int = 0
     total_sweeps: int = 0
     round_objectives: list = field(default_factory=list)  # surrogate per round
@@ -238,13 +239,6 @@ class SolveStats:
     # head solves of the budget multiplier that found no xi within the budget
     budget_unbracketed: int = 0
     phases: PhaseTimes = field(default_factory=PhaseTimes)
-
-
-@dataclass
-class InnerResult:
-    allocation: PowerAllocation
-    status: str  # "ok" | "infeasible"
-    stats: SolveStats
 
 
 def _closed_form(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
@@ -362,6 +356,7 @@ class ScaleSolver:
     def solve_fixed_e(self, ch: ChannelState, cfg: NetworkConfig, e: float,
                       warm_start: PowerAllocation | None = None) -> InnerResult:
         t0 = time.perf_counter()
+        check_inner_inputs(cfg, e, warm_start)
         stats = SolveStats()
         times = stats.phases
         ctx = _SolveContext(ch, cfg, e)
@@ -400,27 +395,23 @@ class ScaleSolver:
         alloc = PowerAllocation(p=ctx.repair(p, times))
         t = time.perf_counter()
         feasible = model.check_feasibility(alloc, ch, cfg, ctx.min_rates).ok
+        report = model.energy_efficiency(alloc, ch, cfg)
 
         # never return something worse than a feasible warm start
-        if warm_start is not None and (
-                not feasible
-                or model.surplus(alloc, ch, cfg, e) < model.surplus(warm_start, ch, cfg, e)):
-            if model.check_feasibility(warm_start, ch, cfg, ctx.min_rates).ok:
-                alloc = warm_start.copy()
-                feasible = True
-        if not feasible:
-            stats.status = "infeasible"
-            stats.infeasible_reason = (stats.infeasible_reason
-                                       or "repair could not meet the streaming rates")
-            times.lap("check", t)
-            stats.wall_time = time.perf_counter() - t0
-            return InnerResult(alloc, "infeasible", stats)
-
-        alloc.rho, alloc.a = model.derive_binaries(alloc, cfg)
-        stats.true_objective = model.surplus(alloc, ch, cfg, e)
+        if warm_start is not None:
+            warm_report = model.energy_efficiency(warm_start, ch, cfg)
+            if ((not feasible or report.surplus(e) < warm_report.surplus(e))
+                    and model.check_feasibility(warm_start, ch, cfg, ctx.min_rates).ok):
+                alloc, report, feasible = warm_start.copy(), warm_report, True
+        if feasible:
+            status = "ok"
+            stats.true_objective = report.surplus(e)
+        else:
+            status = "infeasible"
+            stats.infeasible_reason = "repair could not meet the streaming rates"
         times.lap("check", t)
         stats.wall_time = time.perf_counter() - t0
-        return InnerResult(alloc, "ok", stats)
+        return InnerResult(alloc, status, stats, report)
 
     def _run_rounds(self, ctx: "_SolveContext", p0: np.ndarray,
                     stats: SolveStats) -> tuple[np.ndarray, list[float], float]:
@@ -469,16 +460,13 @@ class ScaleSolver:
                 if settled:
                     break
             z_end = ctx.entries.sinr(p_e)
-            obj, r_user = ctx.surrogate(p_e, z_end, coeffs)
+            obj, _ = ctx.surrogate(p_e, z_end, coeffs)
             if obj < obj_round:
                 p_e = p_round
                 round_objs.append(obj_round)
                 break
             z = z_end
             round_objs.append(obj)
-            if ctx.streaming_infeasible(duals, r_user):
-                stats.infeasible_reason = "rate multiplier at cap with unmet demand"
-                break
             if s > 0 and np.all(ctx.head_max(np.abs(p_e - p_round)) < eps2):
                 break
         t = times.lap("rounds", t)
@@ -550,13 +538,11 @@ class _SolveContext:
         self.e_eta = self.e * cfg.eta[ent.head] * self.elastic_e
         scale = self.scale_at_mask(pairs)
         mask_s, mask_w = self.mask[ent.strong], self.mask[ent.weak]
-        cap = cfg.tolerances.dual_cap
         self.step_rule = StepRule(
             zeta_step=np.full(self.shape[1], _RATE_GAIN / self.rate_scale),
             sic_step=(_SIC_GAIN * self.den_scale
                       / (self.p_ref * scale**2 * mask_s * mask_w + 1e-300)),
-            zeta_cap=cap,
-            sic_cap=cap * self.den_scale / self.p_ref,
+            sic_cap=cfg.tolerances.dual_cap * self.den_scale / self.p_ref,
         )
 
     def full(self, p: np.ndarray) -> np.ndarray:
@@ -669,13 +655,6 @@ class _SolveContext:
         (K,) user rates they sum to."""
         r_hat = self.weight * (coeffs.beta + coeffs.alpha * np.log2(np.maximum(z, _Z_FLOOR)))
         return r_hat, np.bincount(self.entries.user, weights=r_hat, minlength=self.shape[1])
-
-    def streaming_infeasible(self, duals: DualState, r_user: np.ndarray) -> bool:
-        """A rate multiplier at its cap while the surrogate rate r_user (K,)
-        is still short signals an unsatisfiable traffic load."""
-        at_cap = duals.zeta >= self.step_rule.zeta_cap * (1 - 1e-9)
-        short = r_user < self.min_rates - self.cfg.tolerances.c13_rate_tol
-        return bool(np.any(at_cap & short))
 
     # -- repair -----------------------------------------------------------------
     def repair(self, p: np.ndarray, times: PhaseTimes) -> np.ndarray:

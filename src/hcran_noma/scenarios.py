@@ -193,6 +193,9 @@ class Scenario:
             raise ConfigError(f"unknown sweep variable {self.sweep!r}")
         if self.solver not in ("scale", "polyblock"):
             raise ConfigError(f"unknown solver {self.solver!r}")
+        for name in ("draws", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if self.sweep in ("users", "streaming", "lpn"):
             # a count sweep runs int(value): a fraction would mislabel its row
             for value in self.values:
@@ -272,9 +275,8 @@ def run_draw(scenario: Scenario, value, draw: int) -> DrawResult:
     except dinkelbach.InfeasibleProblemError:
         return DrawResult(value=value, draw=draw, feasible=False, status="infeasible",
                           wall_s=time.perf_counter() - t0)
-    alloc = trace.final_allocation
-    report = model.energy_efficiency(alloc, ch, cfg)
-    feasible = model.check_feasibility(alloc, ch, cfg).ok
+    report = trace.final_report
+    feasible = model.check_feasibility(trace.final_allocation, ch, cfg).ok
     return DrawResult(value=value, draw=draw, feasible=feasible, status=trace.status,
                       ee=report.ee, sum_rate=report.sum_rate, power=report.total_power,
                       iterations=len(trace.iterations),

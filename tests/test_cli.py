@@ -268,6 +268,9 @@ class TestCommands:
         ("overhead --k-range 8:4", None, "k_range"),
         ("sweep --sweep users --values 3,2.5", None, "values"),
         ("sweep --sweep lpn", "values: [1, 1.5]\n", "values"),
+        ("sweep --draws 0", None, "draws"),
+        ("sweep --draws -2", None, "draws"),
+        ("sweep --workers 0", None, "workers"),
     ])
     def test_bad_values_and_traffic_reported(self, tmp_path, capsys, command, text, key):
         argv = command.split()

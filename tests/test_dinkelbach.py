@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hcran_noma import dinkelbach, model
 from hcran_noma.dinkelbach import InfeasibleProblemError, surplus
 from hcran_noma.model import PowerAllocation
+from hcran_noma.polyblock import PolyblockSolver
 from hcran_noma.scale import ScaleSolver, SolveStats, InnerResult
 from hcran_noma.scenarios import build_config, gen_channel
 
@@ -20,7 +23,9 @@ class FixedInner:
 
     def solve_fixed_e(self, ch, cfg, e, warm_start=None):
         self.calls += 1
-        return InnerResult(self.alloc.copy(), "ok", SolveStats())
+        alloc = self.alloc.copy()
+        return InnerResult(alloc, "ok", SolveStats(),
+                           model.energy_efficiency(alloc, ch, cfg))
 
 
 class TestSurplus:
@@ -104,8 +109,9 @@ class TestSolve:
 
             def solve_fixed_e(self, ch, cfg, e, warm_start=None):
                 self.scale *= 0.5
-                p = cfg.p_mask * self.scale
-                return InnerResult(PowerAllocation(p=p), "ok", SolveStats())
+                alloc = PowerAllocation(p=cfg.p_mask * self.scale)
+                return InnerResult(alloc, "ok", SolveStats(),
+                                   model.energy_efficiency(alloc, ch, cfg))
 
         cfg = replace(small_cfg, tolerances=Tolerances(xi=1e-12, outer_max=3))
         trace = dinkelbach.solve(small_channel, cfg, ImprovingInner())
@@ -166,3 +172,113 @@ class TestSolveProperties:
         assert report.ok, report
         es = trace.e_values
         assert all(e2 > e1 for e1, e2 in zip(es, es[1:])), es
+
+
+INNER_SOLVERS = {"scale": ScaleSolver,
+                 "polyblock": lambda: PolyblockSolver(max_iter=300)}
+
+
+def _desk_instance():
+    cfg = make_config(m=2, k=2, n=2, streaming=(0,))
+    return cfg, make_channel(cfg, seed=7)
+
+
+def _no_solve_work(monkeypatch):
+    """Make any channel evaluation (a rate, a pair list) fail the test: the
+    inputs must be rejected before it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve started before its inputs were checked")
+
+    monkeypatch.setattr(model, "per_user_rate", refuse)
+    monkeypatch.setattr(model, "support_pairs", refuse)
+
+
+class TestInnerInputs:
+    @pytest.mark.parametrize("solver", sorted(INNER_SOLVERS))
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_parameter_fails_first(self, monkeypatch, solver, e):
+        cfg, ch = _desk_instance()
+        _no_solve_work(monkeypatch)
+        with pytest.raises(ValueError, match="efficiency parameter"):
+            INNER_SOLVERS[solver]().solve_fixed_e(ch, cfg, e)
+
+    @pytest.mark.parametrize("solver", sorted(INNER_SOLVERS))
+    @pytest.mark.parametrize("case, match", [("shape", "shape"), ("nan", "finite"),
+                                             ("inf", "finite"), ("negative", "non-negative")])
+    def test_bad_warm_start_named(self, monkeypatch, solver, case, match):
+        cfg, ch = _desk_instance()
+        p = np.zeros(cfg.p_mask.shape)
+        if case == "shape":
+            p = np.zeros((2, 2, 3))
+        elif case == "nan":
+            p[...] = np.nan
+        elif case == "inf":
+            p[1, 1, 0] = np.inf
+        else:
+            p[0, 1, 1] = -1e-3
+        _no_solve_work(monkeypatch)
+        with pytest.raises(ValueError, match=f"warm start.*{match}"):
+            INNER_SOLVERS[solver]().solve_fixed_e(ch, cfg, 0.5,
+                                                  warm_start=PowerAllocation(p=p))
+
+
+class TestInnerResultReport:
+    """The report an inner solve returns is the evaluation of its allocation,
+    and its objective is that report's surplus, both bit for bit."""
+
+    def _assert_one_evaluation(self, res, ch, cfg, e):
+        assert res.status == "ok"
+        assert res.report == model.energy_efficiency(res.allocation, ch, cfg)
+        assert res.stats.true_objective == model.surplus(res.allocation, ch, cfg, e)
+
+    def test_scale_cold(self):
+        cfg = make_config(m=2, k=4, n=3, streaming=(0,))
+        ch = make_channel(cfg, seed=0)
+        self._assert_one_evaluation(ScaleSolver().solve_fixed_e(ch, cfg, 0.4), ch, cfg, 0.4)
+
+    @pytest.mark.parametrize("seed, kept", [(14, True), (0, False)])
+    def test_scale_warm(self, seed, kept):
+        # on these draws the warm solve at the cold result's ratio keeps the
+        # warm start (seed 14) or replaces it with its own result (seed 0)
+        cfg = make_config(m=2, k=4, n=3, streaming=(0,))
+        ch = make_channel(cfg, seed=seed)
+        cold = ScaleSolver().solve_fixed_e(ch, cfg, 0.0)
+        e = cold.report.ee
+        res = ScaleSolver().solve_fixed_e(ch, cfg, e, warm_start=cold.allocation)
+        assert np.array_equal(res.allocation.p, cold.allocation.p) == kept
+        self._assert_one_evaluation(res, ch, cfg, e)
+
+    def test_polyblock(self):
+        cfg, ch = _desk_instance()
+        res = PolyblockSolver(max_iter=300).solve_fixed_e(ch, cfg, 0.5)
+        self._assert_one_evaluation(res, ch, cfg, 0.5)
+
+    def test_outer_loop_evaluates_nothing_itself(self, monkeypatch):
+        # every dense rate evaluation of a Dinkelbach solve happens inside an
+        # inner solve: the loop reads R and P from the inner results' reports
+        calls = {"all": 0, "inner": 0}
+        depth = [0]
+        real_rates = model.per_user_rate
+
+        def counted(*args, **kwargs):
+            calls["all"] += 1
+            calls["inner"] += depth[0] > 0
+            return real_rates(*args, **kwargs)
+
+        class CountingInner(ScaleSolver):
+            def solve_fixed_e(self, *args, **kwargs):
+                depth[0] += 1
+                try:
+                    return super().solve_fixed_e(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+        monkeypatch.setattr(model, "per_user_rate", counted)
+        cfg = build_config("hcran", k_total=12, k_streaming=3,
+                           rng=np.random.default_rng(1), m_f=2, n_subcarriers=32)
+        ch = gen_channel(cfg, 1)
+        trace = dinkelbach.solve(ch, cfg, CountingInner())
+        assert len(trace.iterations) > 1
+        assert calls["inner"] == calls["all"] > 0
+        assert trace.final_report == model.energy_efficiency(trace.final_allocation, ch, cfg)
+        assert trace.final_e == trace.final_report.ee

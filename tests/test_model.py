@@ -302,6 +302,22 @@ class TestEnergyEfficiency:
         rep = energy_efficiency(alloc, small_channel, small_cfg)
         assert rep.ee * rep.total_power == pytest.approx(rep.sum_rate, rel=1e-12)
 
+    def test_surplus_is_the_reports(self, small_cfg, small_channel):
+        rng = np.random.default_rng(4)
+        alloc = PowerAllocation(p=rng.uniform(0, 0.3, small_channel.gamma.shape))
+        rep = energy_efficiency(alloc, small_channel, small_cfg)
+        assert rep.surplus(0.7) == rep.sum_rate - 0.7 * rep.total_power
+        assert model.surplus(alloc, small_channel, small_cfg, 0.7) == rep.surplus(0.7)
+
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf, -1.0])
+    def test_surplus_rejects_a_bad_parameter(self, small_cfg, small_channel, e):
+        alloc = model.zeros_like_alloc(small_cfg)
+        rep = energy_efficiency(alloc, small_channel, small_cfg)
+        with pytest.raises(ValueError, match="efficiency parameter"):
+            rep.surplus(e)
+        with pytest.raises(ValueError, match="efficiency parameter"):
+            model.surplus(alloc, small_channel, small_cfg, e)
+
 
 class TestDecodeOrder:
     def test_built_once_per_channel(self, monkeypatch):
@@ -478,6 +494,20 @@ class TestFeasibility:
         report = check_feasibility(alloc, small_channel, small_cfg)
         assert any(v.constraint == "C4" and v.index == (0, 0, 0)
                    for v in report.violations)
+
+    @pytest.mark.parametrize("cells", ["all", "one"])
+    def test_nan_power_is_a_mask_violation(self, small_cfg, small_channel, cells):
+        # every comparison with NaN is false, so no bound test alone sees it
+        alloc = model.zeros_like_alloc(small_cfg)
+        if cells == "all":
+            alloc.p[...] = np.nan
+        else:
+            alloc.p[1, 2, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            report = check_feasibility(alloc, small_channel, small_cfg)
+        assert not report.ok
+        nan_cells = {tuple(map(int, i)) for i in np.argwhere(np.isnan(alloc.p))}
+        assert {v.index for v in report.by_constraint("C4")} == nan_cells
 
     def test_two_rrh_product(self, small_cfg, small_channel):
         alloc = model.zeros_like_alloc(small_cfg)

@@ -616,15 +616,22 @@ class TestDualUpdate:
         assert out.zeta[0] == pytest.approx(expected, rel=1e-12)
         assert out.zeta[1:].max() == 0
 
-    def test_persistent_violation_hits_cap(self):
+    def test_unserved_rate_residual_is_clipped(self):
+        # the clip bounds the rate multipliers: streaming user 0, seated but
+        # left at the floor under coefficients tight at a served point, has
+        # a surrogate rate far below zero, yet its residual stays at
+        # 2 * rate_scale, so its multiplier grows by at most 1.6/sqrt(v)
         cfg, ch, ctx, duals, p, p_lin = _mid_solve_state(seed=22)
-        duals = ctx.fresh_duals()
-        slacks = scale.ConstraintSlacks(
-            rate=np.full(cfg.n_users, 1e9),
-            sic=np.zeros(duals.zeta_t.shape))
-        for v in range(1, 2000):
-            duals = dual_update(duals, slacks, ctx.step_rule, v)
-        assert duals.zeta[0] == pytest.approx(ctx.step_rule.zeta_cap)
+        ent = ctx.entries
+        p_e = np.where(ent.user == 0, ctx.p_floor, ent.take(p))
+        snap = ctx.analyze(p_e, duals, _coeffs_at_entries(ctx, p_lin),
+                           ctx.linearize(ent.take(p_lin)))
+        rate = snap.slacks.rate
+        assert rate[0] == 2.0 * ctx.rate_scale
+        assert np.all(np.abs(rate) <= 2.0 * ctx.rate_scale)
+        for v in (1, 4):
+            grown = dual_update(duals, snap.slacks, ctx.step_rule, v).zeta - duals.zeta
+            assert grown[0] == pytest.approx(1.6 / np.sqrt(v), rel=1e-12)
 
     def test_non_negative_after_updates(self):
         cfg, ch, ctx, duals, p, p_lin = _mid_solve_state(seed=23)

@@ -143,6 +143,12 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             self._scenario(solver="annealing")
 
+    @pytest.mark.parametrize("name", ["draws", "workers"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_counts_below_one_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+            self._scenario(**{name: value})
+
     def test_process_pool_matches_serial(self):
         serial = run_sweep(self._scenario())
         pooled = run_sweep(self._scenario(workers=2))
