@@ -288,9 +288,9 @@ def _cmd_gap(args) -> int:
                           {"instances": args.instances, "seed": args.seed})
     lines.append("instance,dim,scale_value,poly_value,poly_gap,ratio")
     scale_solver = ScaleSolver()
+    poly = PolyblockSolver(allow_high_dim=True, max_iter=args.budget)
     for i in range(args.instances):
         inst = tiny_instance(rng)
-        poly = PolyblockSolver(allow_high_dim=True, max_iter=args.budget)
         s_res = scale_solver.solve_fixed_e(inst.ch, inst.cfg, inst.e)
         p_res = poly.solve_fixed_e(inst.ch, inst.cfg, inst.e,
                                    warm_start=s_res.allocation

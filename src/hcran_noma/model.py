@@ -146,6 +146,11 @@ class NetworkConfig:
             raise ConfigError("l_max must be >= 1")
         if self.subcarrier_bandwidth <= 0 or self.noise_density <= 0:
             raise ConfigError("bandwidth and noise density must be positive")
+        for name in ("p_fiber_hpn", "p_fiber_lpn", "p_circuit_hpn", "p_circuit_lpn"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # also rejects NaN
+                raise ConfigError(f"{name} must be finite and non-negative")
+        if self.static_power() <= 0:  # the efficiency's denominator at zero power
+            raise ConfigError("the static power (fiber plus circuit) must be positive")
         for name, arr, shape in (
             ("p_max", self.p_max, (m,)),
             ("p_mask", self.p_mask, (m, k, n)),

@@ -271,6 +271,8 @@ class TestCommands:
         ("sweep --draws 0", None, "draws"),
         ("sweep --draws -2", None, "draws"),
         ("sweep --workers 0", None, "workers"),
+        # a negative box budget would certify local == global without a box
+        ("gap --budget -3", None, "max_iter"),
     ])
     def test_bad_values_and_traffic_reported(self, tmp_path, capsys, command, text, key):
         argv = command.split()

@@ -643,6 +643,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             replace(cfg, **{name: bad})
 
+    @pytest.mark.parametrize("name, value", [
+        ("p_fiber_hpn", -5.0), ("p_fiber_lpn", np.nan),
+        ("p_circuit_hpn", np.inf), ("p_circuit_lpn", -0.1)])
+    def test_bad_static_constant_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite and non-negative"):
+            replace(make_config(), **{name: value})
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_zero_static_power_rejected(self, m):
+        # with one head the *_lpn constants count for nothing
+        zeros = {"p_fiber_hpn": 0.0, "p_circuit_hpn": 0.0}
+        if m > 1:
+            zeros.update(p_fiber_lpn=0.0, p_circuit_lpn=0.0)
+        with pytest.raises(ConfigError, match="static power"):
+            replace(make_config(m=m), **zeros)
+
     def test_mask_above_budget(self):
         cfg = make_config()
         with pytest.raises(ConfigError):
