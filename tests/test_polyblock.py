@@ -310,9 +310,11 @@ class TestBatchedReplay:
         inst = tiny_instance(np.random.default_rng(seed), with_streaming=seed % 2 == 1)
         _assert_replays_reference(inst.ch, inst.cfg, inst.e, max_iter=budget)
 
+    # l_max = 2 < K runs the multiplexing test on the lower corners
+    @pytest.mark.parametrize("l_max", [3, 2])
     @pytest.mark.parametrize("budget", [7, 400])
-    def test_three_heads(self, budget):
-        cfg = make_config(m=3, k=3, n=1, streaming=(1,))
+    def test_three_heads(self, budget, l_max):
+        cfg = make_config(m=3, k=3, n=1, streaming=(1,), l_max=l_max)
         ch = make_channel(cfg, seed=2)
         _assert_replays_reference(ch, cfg, 0.5, max_iter=budget)
 
