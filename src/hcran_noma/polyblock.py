@@ -69,7 +69,8 @@ _EPS_REL = 1e-4
 # lower end of a coordinate's log-width, relative to its mask, while its
 # lower corner is still 0
 _LOG_FLOOR = 1e-9
-# top boxes whose children one batch computes
+# top boxes whose children one batch computes; on the oracle panel the
+# batch count stops falling past 16 while unused splits keep growing
 _BATCH = 16
 # a lower corner is tried exactly only when its batched surplus is within
 # this share of max(|surplus|, 1) of the incumbent or above it; the batched
