@@ -283,6 +283,8 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {args.instances!r}")
     rng = np.random.default_rng(args.seed or 0)
     lines = _header_lines("optimality gap study",
                           {"instances": args.instances, "seed": args.seed})

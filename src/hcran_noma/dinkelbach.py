@@ -10,6 +10,10 @@ inside the tolerance band (or a configured iteration cap is hit).
 Because each iteration is warm-started from the previous allocation and the
 inner solver never returns a point worse than its warm start, the recorded e
 values increase strictly until termination.
+
+``solve_many`` runs the same loop on several instances at once: each round
+advances every unfinished instance by one inner solve, all of them in one
+``solve_many`` call of the inner solver, which may batch them.
 """
 
 from __future__ import annotations
@@ -45,6 +49,13 @@ class InnerSolver(Protocol):
     def solve_fixed_e(self, ch: ChannelState, cfg: NetworkConfig, e: float,
                       warm_start: PowerAllocation | None = None) -> InnerResult: ...
 
+    def solve_many(self, problems: list[tuple[ChannelState, NetworkConfig, float,
+                                                  PowerAllocation | None]]
+                   ) -> list[InnerResult]:
+        """``solve_fixed_e`` on each (ch, cfg, e, warm_start), with the same
+        results; only ``dinkelbach.solve_many`` needs it."""
+        ...
+
 
 def check_inner_inputs(cfg: NetworkConfig, e: float,
                        warm_start: PowerAllocation | None) -> None:
@@ -75,11 +86,61 @@ class DinkelbachTrace:
     final_e: float = 0.0
     final_allocation: PowerAllocation | None = None
     final_report: EnergyReport | None = None  # of final_allocation
-    status: str = "converged"  # "converged" | "cap" | "stalled"
+    # "converged" | "cap" | "stalled", or from ``solve_many`` "infeasible"
+    # where ``solve`` raises InfeasibleProblemError
+    status: str = "converged"
+    # the stats of the inner solve that found no allocation, if one did
+    failed_stats: object = None
 
     @property
     def e_values(self) -> list[float]:
         return [it.e for it in self.iterations]
+
+
+class _Outer:
+    """One instance's outer loop, fed one inner result at a time."""
+
+    def __init__(self, ch: ChannelState, cfg: NetworkConfig):
+        self.ch, self.cfg = ch, cfg
+        self.trace = DinkelbachTrace()
+        self.e = 0.0
+        self.last: InnerResult | None = None
+        self.done = False
+
+    def warm_start(self) -> PowerAllocation | None:
+        return None if self.last is None else self.last.allocation
+
+    def take(self, result: InnerResult) -> None:
+        """Record the inner solve at the current e, then end the loop or
+        move e to the achieved ratio."""
+        trace, tol = self.trace, self.cfg.tolerances
+        self.done = True
+        if result.status != "ok":
+            trace.failed_stats = result.stats
+            trace.status = "infeasible" if self.last is None else "stalled"
+            return
+        self.last = result
+        s = result.report.surplus(self.e)
+        trace.iterations.append(DinkelbachIteration(e=self.e, surplus=s,
+                                                    inner_stats=result.stats))
+        if s <= tol.xi:
+            trace.status = "converged"
+        elif result.report.ee <= self.e:
+            # no measurable ratio improvement; the surplus says otherwise only
+            # through numerical noise
+            trace.status = "stalled"
+        elif len(trace.iterations) == tol.outer_max:
+            trace.status = "cap"
+        else:
+            self.e = result.report.ee
+            self.done = False
+
+    def finish(self) -> DinkelbachTrace:
+        if self.last is not None:
+            self.trace.final_allocation = self.last.allocation
+            self.trace.final_report = self.last.report
+            self.trace.final_e = self.last.report.ee
+        return self.trace
 
 
 def solve(ch: ChannelState, cfg: NetworkConfig, inner: InnerSolver) -> DinkelbachTrace:
@@ -91,37 +152,29 @@ def solve(ch: ChannelState, cfg: NetworkConfig, inner: InnerSolver) -> Dinkelbac
     warm start) reports infeasibility: no allocation meets the streaming
     constraints.  A cap hit returns the best allocation found, flagged.
     """
-    tol = cfg.tolerances
-    trace = DinkelbachTrace()
-    e = 0.0
-    last: InnerResult | None = None
+    run = _Outer(ch, cfg)
+    while not run.done:
+        run.take(inner.solve_fixed_e(ch, cfg, run.e, warm_start=run.warm_start()))
+    if run.trace.status == "infeasible":
+        raise InfeasibleProblemError(
+            "inner solver found no feasible allocation at e="
+            f"{run.e:g}: {run.trace.failed_stats.infeasible_reason}")
+    return run.finish()
 
-    for _ in range(tol.outer_max):
-        result = inner.solve_fixed_e(
-            ch, cfg, e, warm_start=None if last is None else last.allocation)
-        if result.status != "ok":
-            if last is None:
-                raise InfeasibleProblemError(
-                    "inner solver found no feasible allocation at e="
-                    f"{e:g}: {result.stats.infeasible_reason}")
-            trace.status = "stalled"
-            break
-        last = result
-        s = result.report.surplus(e)
-        trace.iterations.append(DinkelbachIteration(e=e, surplus=s,
-                                                    inner_stats=result.stats))
-        if s <= tol.xi:
-            trace.status = "converged"
-            break
-        if result.report.ee <= e:
-            # no measurable ratio improvement; the surplus says otherwise only
-            # through numerical noise
-            trace.status = "stalled"
-            break
-        e = result.report.ee
-    else:
-        trace.status = "cap"
 
-    trace.final_allocation, trace.final_report = last.allocation, last.report
-    trace.final_e = last.report.ee
-    return trace
+def solve_many(instances: list[tuple[ChannelState, NetworkConfig]],
+               inner: InnerSolver) -> list[DinkelbachTrace]:
+    """``solve`` on several (ch, cfg) instances in lockstep: each round runs
+    the next inner solve of every unfinished instance, each at its own e, in
+    one ``inner.solve_many`` call.  Each trace equals ``solve``'s on its
+    instance; where ``solve`` raises InfeasibleProblemError the trace has
+    status "infeasible" and no final allocation."""
+    runs = [_Outer(ch, cfg) for ch, cfg in instances]
+    active = runs
+    while active:
+        results = inner.solve_many([(run.ch, run.cfg, run.e, run.warm_start())
+                                    for run in active])
+        for run, result in zip(active, results):
+            run.take(result)
+        active = [run for run in active if not run.done]
+    return [run.finish() for run in runs]

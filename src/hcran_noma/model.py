@@ -45,7 +45,7 @@ those of the repair's current support.  No sum builds more than
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -337,7 +337,9 @@ class SeatedEntries:
     link_entry: np.ndarray   # (X,) the entry of each (other head j, entry) link
     link_cell: np.ndarray    # (X,) (j, n) as j*N + n
     link_gain: np.ndarray    # (X,) gamma[j, k, n] for the entry's k and n
-    n_cells: int             # M*N
+    n_heads: int             # M, K and M*N: the bins of the head, user
+    n_users: int             # and cell indices
+    n_cells: int
 
     def __len__(self) -> int:
         return self.flat.size
@@ -396,6 +398,39 @@ class SeatedEntries:
         rates = weights[self.head, self.user] * np.log2(1.0 + self.sinr(p))
         return np.bincount(self.user, weights=rates, minlength=weights.shape[1])
 
+    @staticmethod
+    def concat(parts: "list[SeatedEntries]") -> "SeatedEntries":
+        """The parts' entries as one list, each part's head, user and cell
+        indices and its positions (pair members, links) offset past the
+        parts before it, so every sum above over the list gives each part's
+        own sums at its entries, bit for bit: each bin of a ``bincount``
+        collects one part's values, in that part's order.  ``flat`` and the
+        pairs' ``strong`` and ``weak`` stay each part's own flat indices."""
+        def offsets(sizes):
+            return np.cumsum([0] + sizes[:-1])
+
+        def joined(name, shift=None):
+            arrays = [getattr(part, name) for part in parts]
+            if shift is not None:
+                arrays = [a + o for a, o in zip(arrays, shift)]
+            return np.concatenate(arrays)
+
+        heads = offsets([part.n_heads for part in parts])
+        users = offsets([part.n_users for part in parts])
+        cells = offsets([part.n_cells for part in parts])
+        at = offsets([len(part) for part in parts])
+        pairs = SupportPairs(**{f.name: np.concatenate([getattr(part.pairs, f.name)
+                                                        for part in parts])
+                                for f in fields(SupportPairs)})
+        return SeatedEntries(
+            flat=joined("flat"), head=joined("head", heads), user=joined("user", users),
+            cell=joined("cell", cells), gamma=joined("gamma"), sigma=joined("sigma"),
+            pairs=pairs, strong=joined("strong", at), weak=joined("weak", at),
+            link_entry=joined("link_entry", at), link_cell=joined("link_cell", cells),
+            link_gain=joined("link_gain"), n_heads=sum(part.n_heads for part in parts),
+            n_users=sum(part.n_users for part in parts),
+            n_cells=sum(part.n_cells for part in parts))
+
 
 def seated_entries(ch: ChannelState, support: np.ndarray) -> SeatedEntries:
     """The entries of the bool (M, K, N) support, with their pairs
@@ -419,7 +454,7 @@ def seated_entries(ch: ChannelState, support: np.ndarray) -> SeatedEntries:
         weak=np.searchsorted(flat, pairs.weak), link_entry=link_entry,
         link_cell=link_head * n_count + sub[link_entry],
         link_gain=gamma[flat[link_entry] + (link_head - head[link_entry]) * k_count * n_count],
-        n_cells=m_count * n_count)
+        n_heads=m_count, n_users=k_count, n_cells=m_count * n_count)
 
 
 @dataclass

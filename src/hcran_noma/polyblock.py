@@ -313,3 +313,10 @@ class PolyblockSolver:
         stats.true_objective = best_val
         stats.gap = stats.upper_bound - best_val
         return InnerResult(PowerAllocation(p=best_p), "ok", stats, best_report)
+
+    def solve_many(self, problems: list[tuple[ChannelState, NetworkConfig, float,
+                                              PowerAllocation | None]]
+                   ) -> list[InnerResult]:
+        """``solve_fixed_e`` on each (ch, cfg, e, warm_start) in turn: the
+        branch-and-bound has nothing to share between problems."""
+        return [self.solve_fixed_e(*problem) for problem in problems]

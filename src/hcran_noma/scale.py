@@ -41,6 +41,15 @@ exactly along the trajectory and need no multipliers.  Desk-scale instances
 run several head assignments (all of them when there are few) and keep the
 best result.
 
+The rounds of several starts, of one problem or of many
+(``ScaleSolver.solve_many``), run in lockstep as one batch: their entry
+lists are laid end to end (``model.SeatedEntries.concat``), so each numpy
+call of a sweep serves every start, and whatever a start decides (its round
+tests, its stop tests, its sweep count) it decides on its own slices.  Every
+sum over the joined list collects one start's values in its own order, so
+each start follows exactly the trajectory it follows alone; a single solve
+is a batch of its starts.
+
 The seating also fixes which entries and which cancellation-order pairs
 can carry power: every unseated entry stays at the log floor, and the pairs
 are those whose two members share a seated (m, n), at most C(l_max, 2) per
@@ -173,7 +182,7 @@ class StepRule:
 
     zeta_step: np.ndarray    # (K,)
     sic_step: np.ndarray     # (L,) one per seated pair
-    sic_cap: float
+    sic_cap: float | np.ndarray  # (L,) in a batch, each pair its start's cap
 
     @staticmethod
     def at(v: int) -> float:
@@ -207,7 +216,10 @@ def dual_update(duals: DualState, slacks: ConstraintSlacks, step: StepRule,
 
 @dataclass
 class PhaseTimes:
-    """Seconds (perf_counter) one solve_fixed_e call spends in each phase."""
+    """Seconds (perf_counter) charged to one problem of a solve in each
+    phase: the time spent on the problem alone, plus, for every lockstep
+    step of the batched rounds (``_run_rounds``), the step's time divided by
+    the members it advanced."""
 
     setup: float = 0.0        # context, starts and the warm-start check
     rounds: float = 0.0       # bound and linearization refresh, round tests
@@ -220,11 +232,17 @@ class PhaseTimes:
     boost: float = 0.0        # streaming boost
     check: float = 0.0        # check_feasibility and the returned objective
 
+    def add(self, phase: str, seconds: float) -> None:
+        setattr(self, phase, getattr(self, phase) + seconds)
+
     def lap(self, phase: str, since: float) -> float:
         """Charge the time since ``since`` to ``phase``; returns now."""
         now = time.perf_counter()
-        setattr(self, phase, getattr(self, phase) + now - since)
+        self.add(phase, now - since)
         return now
+
+    def total(self) -> float:
+        return sum(vars(self).values())
 
 
 @dataclass
@@ -235,6 +253,8 @@ class SolveStats:
     true_objective: float = float("nan")
     fixed_point_residual: float = float("nan")  # |p - update(p)| / p_max at exit
     infeasible_reason: str | None = None
+    # the phases' total plus an even share of the solve's uncharged time, so
+    # the wall times of one ``solve_many`` call sum to its duration
     wall_time: float = 0.0
     # head solves of the budget multiplier that found no xi within the budget
     budget_unbracketed: int = 0
@@ -261,12 +281,13 @@ def _budget_power_sum(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
     over the entries that sit at or below their mask.  The entries are
     flat, each on head ``head``; num and mask must be zero where the
     closed form's numerator is non-positive (``_budget_dual`` zeroes them
-    once per solve), so those entries add exact zeros to both sums."""
+    once per solve), so those entries add exact zeros to both sums.  Its
+    divisions can divide by zero and overflow, so it runs with those
+    warnings off (in ``_budget_dual``)."""
     d = den_rest + xi[head]
     pos = d > 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        raw = num / d     # read only where d > 0; an overflow sits at the mask
-        slope = raw / d
+    raw = num / d     # read only where d > 0; an overflow sits at the mask
+    slope = raw / d
     p = np.where(pos, np.minimum(raw, mask), mask)
     free = pos & (raw <= mask)
     return (np.bincount(head, weights=p, minlength=xi.size),
@@ -275,7 +296,7 @@ def _budget_power_sum(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
 
 def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
                  head: np.ndarray, budget: np.ndarray, warm: np.ndarray | None = None,
-                 stats: "SolveStats | None" = None) -> np.ndarray:
+                 stats: "SolveStats | list[SolveStats] | None" = None) -> np.ndarray:
     """Per-RRH budget multipliers solved to complementary slackness: the
     smallest xi >= 0 with S(xi) = sum of clip(num/(den_rest + xi), 0, mask)
     over the head's entries <= budget, to relative precision _BUDGET_RTOL,
@@ -293,12 +314,15 @@ def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
     budget is known, else by bisection, which first tries xi = 0 while no
     point over the budget is known.  Targets are nudged by a quarter of the
     tolerance toward the far side of the root, so the last two steps close
-    the bracket from both sides.  A head whose bracket has closed returns
-    its upper end once every head's has.
+    the bracket from both sides.  A head whose bracket has closed keeps its
+    xi, so its control is not run again, and returns its upper end once
+    every head's has.
 
     A head that already fits at xi = 0 returns 0.  A head that ends the
     _BUDGET_MAX_EVALS evaluations with no point within its budget returns
-    its largest evaluated xi and is counted in ``stats.budget_unbracketed``."""
+    its largest evaluated xi and is counted in ``stats.budget_unbracketed``,
+    or, when stats is a list (one per head, as a batch passes its members'),
+    in its own head's."""
     off = num <= 0  # powered off at every xi
     num, mask = np.where(off, 0.0, num), np.where(off, 0.0, mask)
     limit = budget.tolist()
@@ -307,38 +331,45 @@ def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
     hi = [math.inf] * len(limit)    # smallest xi seen within it
     step = [math.inf] * len(limit)
     up, down = 1.0 + 0.25 * _BUDGET_RTOL, 1.0 - 0.25 * _BUDGET_RTOL
-    for _ in range(_BUDGET_MAX_EVALS):
-        s, ds = _budget_power_sum(num, den_rest, mask, head, np.array(x))
-        all_done = True
-        for m, (s_m, ds_m) in enumerate(zip(s.tolist(), ds.tolist())):
-            x_m = x[m]
-            over = s_m > limit[m]
-            if over:
-                lo[m] = max(lo[m], x_m)
-            else:
-                hi[m] = min(hi[m], x_m)
-            lo_m, hi_m = lo[m], hi[m]
-            floor = max(lo_m, 0.0)
-            if floor >= (1.0 - _BUDGET_RTOL) * hi_m:  # false while hi = inf
-                continue  # closed for good: lo and hi only tighten
-            all_done = False
-            unbracketed = hi_m == math.inf
-            if unbracketed:
-                x_next = max(8.0 * lo_m, 1.0)
-            else:
-                x_next = 0.0 if lo_m < 0 else 0.5 * (lo_m + hi_m)
-            if ds_m != 0.0:
-                target = (x_m - (s_m - limit[m]) / ds_m) * (up if over else down)
-                if floor < target < hi_m and (unbracketed
-                                              or abs(target - x_m) <= 0.5 * step[m]):
-                    x_next = target
-            step[m] = abs(x_next - x_m)
-            x[m] = x_next
-        if all_done:
-            return np.array(hi)
-    n_unbracketed = sum(h == math.inf for h in hi)
-    if stats is not None:
-        stats.budget_unbracketed += n_unbracketed
+    open_heads = range(len(limit))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_BUDGET_MAX_EVALS):
+            s, ds = _budget_power_sum(num, den_rest, mask, head, np.array(x))
+            s, ds = s.tolist(), ds.tolist()
+            still_open = []
+            for m in open_heads:
+                s_m, ds_m, x_m = s[m], ds[m], x[m]
+                over = s_m > limit[m]
+                if over:
+                    lo[m] = max(lo[m], x_m)
+                else:
+                    hi[m] = min(hi[m], x_m)
+                lo_m, hi_m = lo[m], hi[m]
+                floor = max(lo_m, 0.0)
+                if floor >= (1.0 - _BUDGET_RTOL) * hi_m:  # false while hi = inf
+                    continue  # closed for good: lo and hi only tighten
+                still_open.append(m)
+                unbracketed = hi_m == math.inf
+                if unbracketed:
+                    x_next = max(8.0 * lo_m, 1.0)
+                else:
+                    x_next = 0.0 if lo_m < 0 else 0.5 * (lo_m + hi_m)
+                if ds_m != 0.0:
+                    target = (x_m - (s_m - limit[m]) / ds_m) * (up if over else down)
+                    if floor < target < hi_m and (unbracketed
+                                                  or abs(target - x_m) <= 0.5 * step[m]):
+                        x_next = target
+                step[m] = abs(x_next - x_m)
+                x[m] = x_next
+            if not still_open:
+                return np.array(hi)
+            open_heads = still_open
+    unbracketed = [h == math.inf for h in hi]
+    if isinstance(stats, list):
+        for head_stats, missed in zip(stats, unbracketed):
+            head_stats.budget_unbracketed += missed
+    elif stats is not None:
+        stats.budget_unbracketed += sum(unbracketed)
     return np.array([l if h == math.inf else h for l, h in zip(lo, hi)])
 
 
@@ -355,227 +386,251 @@ class ScaleSolver:
 
     def solve_fixed_e(self, ch: ChannelState, cfg: NetworkConfig, e: float,
                       warm_start: PowerAllocation | None = None) -> InnerResult:
-        t0 = time.perf_counter()
-        check_inner_inputs(cfg, e, warm_start)
-        stats = SolveStats()
-        times = stats.phases
-        ctx = _SolveContext(ch, cfg, e)
+        return self.solve_many([(ch, cfg, e, warm_start)])[0]
 
-        if warm_start is not None:
-            # repair keeps a start's seating, so it must already be exclusive
-            seated = warm_start.p > ctx.p_floor
-            if (np.any(seated.any(axis=2).sum(axis=0) > 1)
-                    or np.any(seated.sum(axis=1) > cfg.l_max)):
-                raise ValueError("a warm start must seat each user on one head and "
-                                 "at most l_max users per subcarrier")
-            starts = [np.clip(warm_start.p, ctx.p_floor, cfg.p_mask)]
-        elif ch.gamma.size <= _MULTISTART_CELLS:
-            if cfg.n_rrh ** cfg.n_users <= _MULTISTART_ASSIGNMENTS:
-                assignments = itertools.product(range(cfg.n_rrh), repeat=cfg.n_users)
-            else:
-                assignments = [None, np.argmax(ch.gamma.max(axis=2), axis=0)]
-            starts = [greedy_init(cfg, ch, heads) for heads in assignments]
-        else:
-            starts = [greedy_init(cfg, ch)]
-        times.lap("setup", t0)
+    def solve_many(self, problems: Sequence[tuple[ChannelState, NetworkConfig, float,
+                                                  PowerAllocation | None]]
+                   ) -> list[InnerResult]:
+        """Several fixed-parameter solves, one per (ch, cfg, e, warm_start),
+        as one batch: every start of every problem is a member of one
+        lockstep run of the rounds (``_run_rounds``); then each problem
+        keeps its best start, which is repaired and checked on its own.
+        Each result equals that of a solve of the problem alone, bit for
+        bit.  Its ``stats.phases`` hold the time spent on the problem alone
+        plus its members' shares of the lockstep steps."""
+        t0 = t = time.perf_counter()
+        solves = []
+        for ch, cfg, e, warm_start in problems:
+            check_inner_inputs(cfg, e, warm_start)
+            stats = SolveStats()
+            ctx = _SolveContext(ch, cfg, e)
+            members = [_Member(ctx, p0, stats) for p0 in _starts(ctx, warm_start)]
+            solves.append((ctx, warm_start, stats, members))
+            t = stats.phases.lap("setup", t)
+        _run_rounds([m for *_, members in solves for m in members])
 
-        best_p, best_val, best_objs, best_res = None, -np.inf, [], float("nan")
-        for p0 in starts:
-            p_end, round_objs, residual = self._run_rounds(ctx, p0, stats)
-            t = time.perf_counter()
-            val = model.surplus(PowerAllocation(p=p_end), ch, cfg, e)
-            times.lap("rounds", t)
-            if val > best_val:
-                best_p, best_val, best_objs, best_res = p_end, val, round_objs, residual
-        p = best_p
-        stats.round_objectives = best_objs
-        stats.rounds = len(best_objs)
-        stats.fixed_point_residual = best_res
-
-        alloc = PowerAllocation(p=ctx.repair(p, times))
+        results = []
         t = time.perf_counter()
-        feasible = model.check_feasibility(alloc, ch, cfg, ctx.min_rates).ok
-        report = model.energy_efficiency(alloc, ch, cfg)
+        for ctx, warm_start, stats, members in solves:
+            result, t = _finish(ctx, warm_start, stats, members, t)
+            results.append(result)
+        charged = [res.stats.phases.total() for res in results]
+        rest = (t - t0 - sum(charged)) / max(len(results), 1)
+        for res, own in zip(results, charged):
+            res.stats.wall_time = own + rest
+        return results
 
-        # never return something worse than a feasible warm start
-        if warm_start is not None:
-            warm_report = model.energy_efficiency(warm_start, ch, cfg)
-            if ((not feasible or report.surplus(e) < warm_report.surplus(e))
-                    and model.check_feasibility(warm_start, ch, cfg, ctx.min_rates).ok):
-                alloc, report, feasible = warm_start.copy(), warm_report, True
-        if feasible:
-            status = "ok"
-            stats.true_objective = report.surplus(e)
+
+def _starts(ctx: "_SolveContext", warm_start: PowerAllocation | None) -> list[np.ndarray]:
+    """The (M, K, N) starts of one problem: the warm start, else every head
+    assignment of a desk-scale instance (or its two best), else the greedy
+    seating."""
+    ch, cfg = ctx.ch, ctx.cfg
+    if warm_start is not None:
+        # repair keeps a start's seating, so it must already be exclusive
+        seated = warm_start.p > ctx.p_floor
+        if (np.any(seated.any(axis=2).sum(axis=0) > 1)
+                or np.any(seated.sum(axis=1) > cfg.l_max)):
+            raise ValueError("a warm start must seat each user on one head and "
+                             "at most l_max users per subcarrier")
+        return [np.clip(warm_start.p, ctx.p_floor, cfg.p_mask)]
+    if ch.gamma.size <= _MULTISTART_CELLS:
+        if cfg.n_rrh ** cfg.n_users <= _MULTISTART_ASSIGNMENTS:
+            assignments = itertools.product(range(cfg.n_rrh), repeat=cfg.n_users)
         else:
-            status = "infeasible"
-            stats.infeasible_reason = "repair could not meet the streaming rates"
-        times.lap("check", t)
-        stats.wall_time = time.perf_counter() - t0
-        return InnerResult(alloc, status, stats, report)
+            assignments = [None, np.argmax(ch.gamma.max(axis=2), axis=0)]
+        return [greedy_init(cfg, ch, heads) for heads in assignments]
+    return [greedy_init(cfg, ch)]
 
-    def _run_rounds(self, ctx: "_SolveContext", p0: np.ndarray,
-                    stats: SolveStats) -> tuple[np.ndarray, list[float], float]:
-        """Approximation rounds over one seating.  The seating (entries above
-        the floor) is held fixed: every other entry stays at the floor, so
-        the rounds carry the seated entries and their pairs alone, and the
-        (M, K, N) iterate is built once, on return.  The bound is
-        re-tightened at each round's start, and a round whose sweeps lose
-        surrogate value is rejected, which also keeps the true objective
-        nondecreasing."""
-        cfg = ctx.cfg
-        tol = cfg.tolerances
-        times = stats.phases
-        t = time.perf_counter()
-        ctx.seat(p0 > ctx.p_floor)
-        duals = ctx.fresh_duals()
-        p_e = ctx.entries.take(p0)
-        z = ctx.entries.sinr(p_e)
-        xi = np.zeros(cfg.n_rrh)
-        eps1 = tol.varpi1_rel * cfg.p_max
-        eps2 = tol.varpi2_rel * cfg.p_max
-        round_objs: list[float] = []
-        t = times.lap("setup", t)
 
-        for s in range(tol.s_max):
-            coeffs = coeffs_at(z)
-            lin = ctx.linearize(p_e)
-            p_round = p_e
-            obj_round, _ = ctx.surrogate(p_e, z, coeffs)
-            t = times.lap("rounds", t)
-            for v in range(1, tol.v_max + 1):
-                snap = ctx.analyze(p_e, duals, coeffs, lin)
-                t = times.lap("analyze", t)
-                xi = _budget_dual(snap.num, snap.den, ctx.mask, ctx.entries.head,
-                                  cfg.p_max, xi, stats)
-                t = times.lap("budget", t)
-                p_next = ctx.sweep(snap, xi)
-                settled = v >= _MIN_SWEEPS and np.all(
-                    ctx.head_max(np.abs(p_next - p_e)) < eps1)
-                t = times.lap("sweep", t)
-                duals = dual_update(duals, snap.slacks, ctx.step_rule, v)
-                duals.xi = xi
-                t = times.lap("dual_update", t)
-                p_e = p_next
-                stats.total_sweeps += 1
-                if settled:
-                    break
-            z_end = ctx.entries.sinr(p_e)
-            obj, _ = ctx.surrogate(p_e, z_end, coeffs)
-            if obj < obj_round:
-                p_e = p_round
-                round_objs.append(obj_round)
-                break
-            z = z_end
-            round_objs.append(obj)
-            if s > 0 and np.all(ctx.head_max(np.abs(p_e - p_round)) < eps2):
-                break
-        t = times.lap("rounds", t)
+def _finish(ctx: "_SolveContext", warm_start: PowerAllocation | None, stats: SolveStats,
+            members: list["_Member"], t: float) -> tuple[InnerResult, float]:
+    """One problem after its rounds: the best start by true objective (the
+    first of equals), repaired and checked, and never worse than a feasible
+    warm start.  Charges its time to ``stats`` from ``t``; returns the
+    result and the time it ended."""
+    ch, cfg, e = ctx.ch, ctx.cfg, ctx.e
+    times = stats.phases
+    best, best_val = None, -np.inf
+    for member in members:
+        val = model.surplus(PowerAllocation(p=member.p_end), ch, cfg, e)
+        if val > best_val:
+            best, best_val = member, val
+    stats.round_objectives = best.round_objs
+    stats.rounds = len(best.round_objs)
+    stats.fixed_point_residual = best.residual
+    t = times.lap("rounds", t)
 
-        # fixed-point spot check: one more closed-form evaluation at the end
-        # point with the final multipliers must reproduce it
-        snap = ctx.analyze(p_e, duals, coeffs, ctx.linearize(p_e))
+    alloc = PowerAllocation(p=ctx.repair(best.p_end, times))
+    t = time.perf_counter()
+    feasible = model.check_feasibility(alloc, ch, cfg, ctx.min_rates).ok
+    report = model.energy_efficiency(alloc, ch, cfg)
+
+    # never return something worse than a feasible warm start
+    if warm_start is not None:
+        warm_report = model.energy_efficiency(warm_start, ch, cfg)
+        if ((not feasible or report.surplus(e) < warm_report.surplus(e))
+                and model.check_feasibility(warm_start, ch, cfg, ctx.min_rates).ok):
+            alloc, report, feasible = warm_start.copy(), warm_report, True
+    if feasible:
+        status = "ok"
+        stats.true_objective = report.surplus(e)
+    else:
+        status = "infeasible"
+        stats.infeasible_reason = "repair could not meet the streaming rates"
+    return InnerResult(alloc, status, stats, report), times.lap("check", t)
+
+
+def _run_rounds(members: list["_Member"]) -> None:
+    """Approximation rounds for every member, each over its own seating.  A
+    seating (entries above the floor) is held fixed: every other entry stays
+    at the floor, so the rounds carry the seated entries and their pairs
+    alone, and the (M, K, N) iterate is built once, at the end.  The bound is
+    re-tightened at each round's start, and a round whose sweeps lose
+    surrogate value is rejected, which also keeps the true objective
+    nondecreasing.
+
+    The members' sweeps run in lockstep on their entry lists laid end to end
+    (``_Batch``), so one analysis, budget solve, closed-form update and
+    multiplier step serves them all; everything a member decides it decides
+    on its own slices: the bound refresh and linearization, the round test,
+    both stop tests and its sweep count.  A member leaves the batch when its
+    rounds end, and each follows exactly the trajectory of a batch of its
+    own.  Sets each member's ``p_end``, ``round_objs`` and ``residual``."""
+    if not members:
+        return
+    t = time.perf_counter()
+    batch = _Batch(members)
+    t = batch.lap("setup", t)
+    while True:
+        for i, member in enumerate(batch.members):
+            if member.v == 0:
+                batch.load_round(i, member.begin_round(batch.p[batch.spans["entry"][i]]))
+                t = member.stats.phases.lap("rounds", t)
+        snap = batch.analyze(batch.p, batch.duals, batch.coeffs, batch.lin)
+        t = batch.lap("analyze", t)
+        xi = _budget_dual(snap.num, snap.den, batch.mask, batch.entries.head,
+                          batch.budget, batch.duals.xi, batch.head_stats)
+        t = batch.lap("budget", t)
+        p_next = batch.sweep(snap, xi)
+        for member in batch.members:
+            member.v += 1
+            member.stats.total_sweeps += 1
+        settled = batch.settled(p_next)
+        t = batch.lap("sweep", t)
+        batch.duals = dual_update(batch.duals, snap.slacks, batch.step_rule_now(), 1)
+        batch.duals.xi = xi
+        t = batch.lap("dual_update", t)
+        batch.p = p_next
+
+        ended = []
+        for i, member in enumerate(batch.members):
+            if settled[i] or member.v == member.ctx.cfg.tolerances.v_max:
+                p_i = batch.p[batch.spans["entry"][i]]
+                done = member.end_round(p_i)
+                t = member.stats.phases.lap("rounds", t)
+                if done:
+                    t = member.finish(p_i, batch.duals_of(i), t)
+                    ended.append(i)
+        if ended:
+            batch.settle()
+            if len(ended) == len(batch.members):
+                return
+            batch = batch.without(ended)
+            t = batch.lap("rounds", t)
+
+
+class _Member:
+    """One (context, start) pair of a batch of rounds: the problem's context
+    seated on the start, the problem's stats, and the start's round state.
+    (A plain class: a dataclass costs a millisecond at import.)"""
+
+    def __init__(self, ctx: "_SolveContext", p0: np.ndarray, stats: SolveStats):
+        self.ctx = ctx.seated(p0 > ctx.p_floor)
+        self.stats = stats
+        self.p0 = self.ctx.entries.take(p0)     # (E,) the start's seated powers
+        self.z = self.ctx.entries.sinr(self.p0)  # (E,) where the next bound is tight
+        self.coeffs: ScaleCoefficients | None = None
+        self.p_round: np.ndarray | None = None  # (E,) the current round's start
+        self.obj_round = 0.0                    # and its surrogate objective
+        self.s = 0                              # the current round
+        self.v = 0                              # its sweeps so far, 0 before it starts
+        self.round_objs: list[float] = []
+        self.p_end: np.ndarray | None = None    # (M, K, N) the end point, once done
+        self.residual = float("nan")            # the fixed-point residual there
+
+    def begin_round(self, p: np.ndarray) -> dict:
+        """Re-tighten the bound at the round's start p (E,) and return the
+        round's linearization."""
+        self.coeffs = coeffs_at(self.z)
+        lin = self.ctx.linearize(p)
+        self.p_round = p
+        self.obj_round, _ = self.ctx.surrogate(p, self.z, self.coeffs)
+        return lin
+
+    def end_round(self, p: np.ndarray) -> bool:
+        """The round tests at the round's end point p (E,), a view of the
+        batch's iterate, which a rejected round resets to the round's
+        start.  True when the rounds end."""
+        ctx = self.ctx
+        tol = ctx.cfg.tolerances
+        z_end = ctx.entries.sinr(p)
+        obj, _ = ctx.surrogate(p, z_end, self.coeffs)
+        if obj < self.obj_round:
+            p[:] = self.p_round
+            self.round_objs.append(self.obj_round)
+            return True
+        self.z = z_end
+        self.round_objs.append(obj)
+        eps2 = tol.varpi2_rel * ctx.cfg.p_max
+        if self.s > 0 and np.all(ctx.head_max(np.abs(p - self.p_round)) < eps2):
+            return True
+        self.s += 1
+        self.v = 0
+        return self.s == tol.s_max
+
+    def finish(self, p: np.ndarray, duals: DualState, t: float) -> float:
+        """Fixed-point spot check at the end point p (E,): one more
+        closed-form evaluation with the final multipliers must reproduce it.
+        Charges its phases from ``t``; returns the time it ended."""
+        ctx, times = self.ctx, self.stats.phases
+        snap = ctx.analyze(p, duals, self.coeffs, ctx.linearize(p))
         t = times.lap("analyze", t)
-        xi = _budget_dual(snap.num, snap.den, ctx.mask, ctx.entries.head, cfg.p_max, xi, stats)
+        xi = _budget_dual(snap.num, snap.den, ctx.mask, ctx.entries.head,
+                          ctx.cfg.p_max, duals.xi, self.stats)
         t = times.lap("budget", t)
         p_check = ctx.sweep(snap, xi)
-        residual = float((ctx.head_max(np.abs(p_check - p_e)) / cfg.p_max).max())
-        times.lap("sweep", t)
-        return ctx.full(p_e), round_objs, residual
+        self.residual = float((ctx.head_max(np.abs(p_check - p)) / ctx.cfg.p_max).max())
+        self.p_end = ctx.full(p)
+        return times.lap("sweep", t)
 
 
-class _SolveContext:
-    """Everything fixed for one solve_fixed_e call, plus the vectorized
-    per-sweep analysis.  The sweeps run over the entries of the current
-    start's seating and their pairs (``seat``), as flat (E,) and (L,)
-    arrays; a new context seats nothing."""
+class _Sweeps:
+    """The per-sweep analysis over a flat entry list and its pairs: a
+    seated context's (``_SolveContext``) or a batch's (``_Batch``).  Reads
+    the (E,) ``mask``, ``p_floor``, ``weight`` and ``e_eta``, the (K,)
+    ``elastic`` and ``min_rates``, and where each head's run of entries
+    starts (``index_heads``)."""
 
-    def __init__(self, ch: ChannelState, cfg: NetworkConfig, e: float):
-        self.ch = ch
-        self.cfg = cfg
-        self.e = e
-        m_count, k_count, n_count = ch.gamma.shape
-        self.shape = (m_count, k_count, n_count)
-        self.elastic = cfg.elastic_mask()
-        self.streaming = cfg.streaming_users()
-        self.min_rates = cfg.min_rates()
-        # pure log-domain safety: far below any noise floor so an 'off'
-        # entry cannot register as interference
-        self.p_floor = 1e-30 * cfg.max_mask
+    # fixed scale (bits/s/Hz): keeps the multiplier trajectory independent
+    # of the traffic targets except where the constraint actually binds
+    rate_scale = 10.0
 
-        # fixed scale (bits/s/Hz): keeps the multiplier trajectory independent
-        # of the traffic targets except where the constraint actually binds
-        self.rate_scale = 10.0
-
-        # subgradient step calibration: relative slacks scaled into each
-        # family's useful multiplier magnitude
-        self.p_ref = 0.5 * float(cfg.p_max.mean()) / (k_count * n_count)
-        self.den_scale = max(e * float(cfg.eta.max()), 1.0 / (LN2 * self.p_ref))
-        # cross interference at mask power, which sets each pair's margin scale
-        self.cross_at_mask = cross_interference(cfg.p_mask, ch)
-        self.seat(np.zeros(self.shape, dtype=bool))
-
-    # -- state builders -----------------------------------------------------
-    def scale_at_mask(self, pairs: model.SupportPairs) -> np.ndarray:
-        """(L,) each pair's margin scale (``pair_margins``) at mask power."""
-        return model.pair_margins(pairs, self.cross_at_mask)[1] + 1e-300
-
-    def seat(self, seating: np.ndarray) -> None:
-        """Carry the entries of one start, those ``seating`` (bool (M, K, N))
-        holds, and their pairs.  Sets ``entries`` and ``pairs``, the heads
-        that seat an entry and where their runs of entries start, the
-        entries' config constants and the ``step_rule`` over them."""
-        cfg = self.cfg
-        self.entries = ent = model.seated_entries(self.ch, seating)
-        self.pairs = pairs = ent.pairs
-        # the entries are in rising flat order, so each head's are one run
-        counts = np.bincount(ent.head, minlength=self.shape[0])
+    def index_heads(self) -> None:
+        """The heads that seat an entry and where their runs start; the
+        entries are in rising flat order, so each head's are one run."""
+        ent = self.entries
+        counts = np.bincount(ent.head, minlength=ent.n_heads)
         self.head_seated = np.flatnonzero(counts)
         self.head_start = (np.cumsum(counts) - counts)[self.head_seated]
-        self.mask = ent.take(cfg.p_mask)
-        self.weight = cfg.weights[ent.head, ent.user]
-        self.elastic_e = self.elastic[ent.user]
-        # the amplifier's price of an entry's power; streaming power is free
-        self.e_eta = self.e * cfg.eta[ent.head] * self.elastic_e
-        scale = self.scale_at_mask(pairs)
-        mask_s, mask_w = self.mask[ent.strong], self.mask[ent.weak]
-        self.step_rule = StepRule(
-            zeta_step=np.full(self.shape[1], _RATE_GAIN / self.rate_scale),
-            sic_step=(_SIC_GAIN * self.den_scale
-                      / (self.p_ref * scale**2 * mask_s * mask_w + 1e-300)),
-            sic_cap=cfg.tolerances.dual_cap * self.den_scale / self.p_ref,
-        )
-
-    def full(self, p: np.ndarray) -> np.ndarray:
-        """The (M, K, N) iterate of the seated powers p (E,): the floor
-        everywhere else."""
-        out = np.full(self.shape, self.p_floor)
-        out.reshape(-1)[self.entries.flat] = p
-        return out
 
     def head_max(self, x: np.ndarray) -> np.ndarray:
         """(M,) the largest of x (E,) >= 0 over each head's entries, 0 where
         a head has none."""
-        out = np.zeros(self.shape[0])
+        out = np.zeros(self.entries.n_heads)
         out[self.head_seated] = np.maximum.reduceat(x, self.head_start)
         return out
 
-    def fresh_duals(self) -> DualState:
-        m_count, k_count, _ = self.shape
-        zeta = np.zeros(k_count)
-        zeta[self.streaming] = 1.0  # unit rate pressure from the start
-        return DualState(xi=np.zeros(m_count), zeta=zeta,
-                         zeta_t=np.zeros(len(self.pairs)))
-
-    def linearize(self, p_lin: np.ndarray) -> dict:
-        """Tangent constants of the subtracted cross-product term for every
-        seated pair, at the round's reference point p_lin (E,)."""
-        ent = self.entries
-        c_w = ent.cross(p_lin)[ent.weak]
-        gconst = self.pairs.g_s * p_lin[ent.strong] * p_lin[ent.weak]
-        return {"p_lin": p_lin, "log_p_lin": np.log(np.maximum(p_lin, _Z_FLOOR)),
-                "gconst": gconst, "g_val": gconst * c_w}
-
-    # -- per-sweep analysis ---------------------------------------------------
     def analyze(self, p: np.ndarray, duals: DualState, coeffs: ScaleCoefficients,
                 lin: dict) -> _Snapshot:
         """The closed-form update's numerator and denominator (without the
@@ -604,6 +659,7 @@ class _SolveContext:
             p_s, p_w = p[fs], p[fw]
             bracket = pairs.bracket(cross[fs])
 
+            # in a batch a member with zt all zero adds exact +0.0 terms
             if zt.any():
                 den_sic = ent.from_pairs(zt * p_w * bracket, zt * p_s * bracket)
                 # cross denominators: aggregate zt*p_s*p_w*g_w by strong user,
@@ -638,6 +694,224 @@ class _SolveContext:
         return _closed_form(snap.num, snap.den + xi[self.entries.head], self.mask,
                             self.p_floor)
 
+    def surrogate_rates(self, z: np.ndarray,
+                        coeffs: ScaleCoefficients) -> tuple[np.ndarray, np.ndarray]:
+        """The (E,) weighted surrogate entry rates at SINRs z (E,) and the
+        (K,) user rates they sum to."""
+        r_hat = self.weight * (coeffs.beta + coeffs.alpha * np.log2(np.maximum(z, _Z_FLOOR)))
+        return r_hat, np.bincount(self.entries.user, weights=r_hat,
+                                  minlength=self.entries.n_users)
+
+
+class _Batch(_Sweeps):
+    """The members of a lockstep run of rounds as one entry list: their
+    seated contexts' lists laid end to end (``SeatedEntries.concat``) with
+    their constants, and the state the sweeps carry: the iterate ``p``,
+    the multipliers, the bound coefficients and the linearization.
+    ``spans[kind][i]`` is member i's slice of an array over the entries,
+    heads, users or pairs.  Every sum of the analysis collects one member's
+    values in its own order, and everything else is elementwise, so each
+    member's slice is what a batch of its own computes."""
+
+    def __init__(self, members: list[_Member]):
+        self.members = members
+        self.spent = PhaseTimes()  # the batch's time, not yet split
+        ctxs = [m.ctx for m in members]
+        self.entries = model.SeatedEntries.concat([c.entries for c in ctxs])
+        self.pairs = self.entries.pairs
+        self.index_heads()
+        sizes = {"entry": [len(c.entries) for c in ctxs],
+                 "head": [c.entries.n_heads for c in ctxs],
+                 "user": [c.entries.n_users for c in ctxs],
+                 "pair": [len(c.pairs) for c in ctxs]}
+        self.spans = {}
+        for kind, counts in sizes.items():
+            ends = np.cumsum(counts).tolist()
+            self.spans[kind] = [slice(end - n, end) for n, end in zip(counts, ends)]
+
+        def joined(get):
+            return np.concatenate([get(c) for c in ctxs])
+
+        self.mask, self.weight = joined(lambda c: c.mask), joined(lambda c: c.weight)
+        self.e_eta = joined(lambda c: c.e_eta)
+        self.p_floor = joined(lambda c: np.full(len(c.entries), c.p_floor))
+        self.elastic, self.min_rates = joined(lambda c: c.elastic), joined(lambda c: c.min_rates)
+        self.budget = joined(lambda c: c.cfg.p_max)
+        self.eps1 = joined(lambda c: c.cfg.tolerances.varpi1_rel * c.cfg.p_max)
+        self.first_head = np.cumsum([0] + sizes["head"][:-1])
+        self.head_stats = [m.stats for m, n in zip(members, sizes["head"]) for _ in range(n)]
+        self.zeta_step = joined(lambda c: c.step_rule.zeta_step)
+        self.sic_step = joined(lambda c: c.step_rule.sic_step)
+        self.sic_cap = joined(lambda c: np.full(len(c.pairs), c.step_rule.sic_cap))
+        self.user_member = np.repeat(np.arange(len(members)), sizes["user"])
+        self.pair_member = np.repeat(np.arange(len(members)), sizes["pair"])
+
+        duals = [c.fresh_duals() for c in ctxs]
+        self.p = np.concatenate([m.p0 for m in members])
+        self.duals = DualState(xi=np.concatenate([d.xi for d in duals]),
+                               zeta=np.concatenate([d.zeta for d in duals]),
+                               zeta_t=np.concatenate([d.zeta_t for d in duals]))
+        n_entries, n_pairs = len(self.entries), len(self.pairs)
+        self.coeffs = ScaleCoefficients(alpha=np.empty(n_entries), beta=np.empty(n_entries))
+        self.lin = {"p_lin": np.empty(n_entries), "log_p_lin": np.empty(n_entries),
+                    "gconst": np.empty(n_pairs), "g_val": np.empty(n_pairs)}
+
+    _LIN_KINDS = {"p_lin": "entry", "log_p_lin": "entry", "gconst": "pair", "g_val": "pair"}
+
+    def load_round(self, i: int, lin: dict) -> None:
+        """Member i's bound coefficients and linearization (``begin_round``)
+        into its slices."""
+        at = self.spans["entry"][i]
+        coeffs = self.members[i].coeffs
+        self.coeffs.alpha[at], self.coeffs.beta[at] = coeffs.alpha, coeffs.beta
+        for key, kind in self._LIN_KINDS.items():
+            self.lin[key][self.spans[kind][i]] = lin[key]
+
+    def settled(self, p_next: np.ndarray) -> list[bool]:
+        """Each member's sweep stop test: from its _MIN_SWEEPS-th sweep of a
+        round, every head's largest step below varpi1 * p_max.  The steps
+        are formed only once some member may stop."""
+        may = [m.v >= _MIN_SWEEPS for m in self.members]
+        if not any(may):
+            return may
+        below = self.head_max(np.abs(p_next - self.p)) < self.eps1
+        each = np.logical_and.reduceat(below, self.first_head).tolist()
+        return [a and b for a, b in zip(may, each)]
+
+    def step_rule_now(self) -> StepRule:
+        """The members' step rules with each member's damping at its own
+        sweep v folded into its gains, for ``dual_update`` at v = 1 (a
+        damping of exactly 1.0): damp * gain is the product the update
+        forms first, so each member takes the step a batch of its own
+        takes."""
+        damp = np.array([StepRule.at(m.v) for m in self.members])
+        return StepRule(zeta_step=damp[self.user_member] * self.zeta_step,
+                        sic_step=damp[self.pair_member] * self.sic_step,
+                        sic_cap=self.sic_cap)
+
+    def duals_of(self, i: int) -> DualState:
+        return DualState(xi=self.duals.xi[self.spans["head"][i]],
+                         zeta=self.duals.zeta[self.spans["user"][i]],
+                         zeta_t=self.duals.zeta_t[self.spans["pair"][i]])
+
+    def without(self, ended: list[int]) -> "_Batch":
+        """The batch of the other members, their state carried over."""
+        kept = [i for i in range(len(self.members)) if i not in ended]
+        out = _Batch([self.members[i] for i in kept])
+
+        def carry(x, kind):
+            return np.concatenate([x[self.spans[kind][i]] for i in kept])
+
+        out.p = carry(self.p, "entry")
+        out.duals = DualState(xi=carry(self.duals.xi, "head"),
+                              zeta=carry(self.duals.zeta, "user"),
+                              zeta_t=carry(self.duals.zeta_t, "pair"))
+        out.coeffs = ScaleCoefficients(alpha=carry(self.coeffs.alpha, "entry"),
+                                       beta=carry(self.coeffs.beta, "entry"))
+        out.lin = {key: carry(self.lin[key], kind) for key, kind in self._LIN_KINDS.items()}
+        return out
+
+    def lap(self, phase: str, since: float) -> float:
+        """Charge the time since ``since`` to ``phase`` of every member,
+        in even shares (``settle``); returns now."""
+        now = time.perf_counter()
+        self.spent.add(phase, now - since)
+        return now
+
+    def settle(self) -> None:
+        """Split the time charged to the batch evenly over its members."""
+        for phase, seconds in vars(self.spent).items():
+            for member in self.members:
+                member.stats.phases.add(phase, seconds / len(self.members))
+        self.spent = PhaseTimes()
+
+
+class _SolveContext(_Sweeps):
+    """Everything fixed for one problem of a solve, plus the vectorized
+    per-sweep analysis over the entries of one start's seating and their
+    pairs (``seat``), as flat (E,) and (L,) arrays; a new context seats
+    nothing, and ``seated`` gives a copy per start."""
+
+    def __init__(self, ch: ChannelState, cfg: NetworkConfig, e: float):
+        self.ch = ch
+        self.cfg = cfg
+        self.e = e
+        m_count, k_count, n_count = ch.gamma.shape
+        self.shape = (m_count, k_count, n_count)
+        self.elastic = cfg.elastic_mask()
+        self.streaming = cfg.streaming_users()
+        self.min_rates = cfg.min_rates()
+        # pure log-domain safety: far below any noise floor so an 'off'
+        # entry cannot register as interference
+        self.p_floor = 1e-30 * cfg.max_mask
+
+        # subgradient step calibration: relative slacks scaled into each
+        # family's useful multiplier magnitude
+        self.p_ref = 0.5 * float(cfg.p_max.mean()) / (k_count * n_count)
+        self.den_scale = max(e * float(cfg.eta.max()), 1.0 / (LN2 * self.p_ref))
+        # cross interference at mask power, which sets each pair's margin scale
+        self.cross_at_mask = cross_interference(cfg.p_mask, ch)
+        self.seat(np.zeros(self.shape, dtype=bool))
+
+    # -- state builders -----------------------------------------------------
+    def scale_at_mask(self, pairs: model.SupportPairs) -> np.ndarray:
+        """(L,) each pair's margin scale (``pair_margins``) at mask power."""
+        return model.pair_margins(pairs, self.cross_at_mask)[1] + 1e-300
+
+    def seat(self, seating: np.ndarray) -> None:
+        """Carry the entries of one start, those ``seating`` (bool (M, K, N))
+        holds, and their pairs.  Sets ``entries`` and ``pairs``, the heads
+        that seat an entry and where their runs of entries start, the
+        entries' config constants and the ``step_rule`` over them."""
+        cfg = self.cfg
+        self.entries = ent = model.seated_entries(self.ch, seating)
+        self.pairs = pairs = ent.pairs
+        self.index_heads()
+        self.mask = ent.take(cfg.p_mask)
+        self.weight = cfg.weights[ent.head, ent.user]
+        self.elastic_e = self.elastic[ent.user]
+        # the amplifier's price of an entry's power; streaming power is free
+        self.e_eta = self.e * cfg.eta[ent.head] * self.elastic_e
+        scale = self.scale_at_mask(pairs)
+        mask_s, mask_w = self.mask[ent.strong], self.mask[ent.weak]
+        self.step_rule = StepRule(
+            zeta_step=np.full(self.shape[1], _RATE_GAIN / self.rate_scale),
+            sic_step=(_SIC_GAIN * self.den_scale
+                      / (self.p_ref * scale**2 * mask_s * mask_w + 1e-300)),
+            sic_cap=cfg.tolerances.dual_cap * self.den_scale / self.p_ref,
+        )
+
+    def seated(self, seating: np.ndarray) -> "_SolveContext":
+        """A copy of this context seated on ``seating`` (``seat``), sharing
+        the problem's constants, so that several starts can run at once."""
+        out = object.__new__(_SolveContext)
+        vars(out).update(vars(self))
+        out.seat(seating)
+        return out
+
+    def full(self, p: np.ndarray) -> np.ndarray:
+        """The (M, K, N) iterate of the seated powers p (E,): the floor
+        everywhere else."""
+        out = np.full(self.shape, self.p_floor)
+        out.reshape(-1)[self.entries.flat] = p
+        return out
+
+    def fresh_duals(self) -> DualState:
+        m_count, k_count, _ = self.shape
+        zeta = np.zeros(k_count)
+        zeta[self.streaming] = 1.0  # unit rate pressure from the start
+        return DualState(xi=np.zeros(m_count), zeta=zeta,
+                         zeta_t=np.zeros(len(self.pairs)))
+
+    def linearize(self, p_lin: np.ndarray) -> dict:
+        """Tangent constants of the subtracted cross-product term for every
+        seated pair, at the round's reference point p_lin (E,)."""
+        ent = self.entries
+        c_w = ent.cross(p_lin)[ent.weak]
+        gconst = self.pairs.g_s * p_lin[ent.strong] * p_lin[ent.weak]
+        return {"p_lin": p_lin, "log_p_lin": np.log(np.maximum(p_lin, _Z_FLOOR)),
+                "gconst": gconst, "g_val": gconst * c_w}
+
     # -- surrogate objective ---------------------------------------------------
     def surrogate(self, p: np.ndarray, z: np.ndarray,
                   coeffs: ScaleCoefficients) -> tuple[float, np.ndarray]:
@@ -648,13 +922,6 @@ class _SolveContext:
         objective = float(np.sum(np.where(self.elastic_e, r_hat, 0.0))
                           - self.e * self.cfg.static_power() - np.dot(self.e_eta, p))
         return objective, r_user
-
-    def surrogate_rates(self, z: np.ndarray,
-                        coeffs: ScaleCoefficients) -> tuple[np.ndarray, np.ndarray]:
-        """The (E,) weighted surrogate entry rates at SINRs z (E,) and the
-        (K,) user rates they sum to."""
-        r_hat = self.weight * (coeffs.beta + coeffs.alpha * np.log2(np.maximum(z, _Z_FLOOR)))
-        return r_hat, np.bincount(self.entries.user, weights=r_hat, minlength=self.shape[1])
 
     # -- repair -----------------------------------------------------------------
     def repair(self, p: np.ndarray, times: PhaseTimes) -> np.ndarray:

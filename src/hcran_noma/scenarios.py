@@ -259,12 +259,30 @@ def _config_for(scenario: Scenario, value, rng: np.random.Generator) -> NetworkC
     return build_config(**kw)
 
 
+def _draw_instance(scenario: Scenario, value, draw: int) -> tuple[ChannelState,
+                                                                   NetworkConfig]:
+    rng = _draw_rng(scenario, value, draw)
+    cfg = _config_for(scenario, value, rng)
+    return gen_channel(cfg, rng), cfg
+
+
+def _draw_result(value, draw: int, ch: ChannelState, cfg: NetworkConfig,
+                 trace: dinkelbach.DinkelbachTrace | None) -> DrawResult:
+    """The draw's record of its solve; no trace when the first inner solve
+    found no allocation."""
+    if trace is None or trace.status == "infeasible":
+        return DrawResult(value=value, draw=draw, feasible=False, status="infeasible")
+    report = trace.final_report
+    feasible = model.check_feasibility(trace.final_allocation, ch, cfg).ok
+    return DrawResult(value=value, draw=draw, feasible=feasible, status=trace.status,
+                      ee=report.ee, sum_rate=report.sum_rate, power=report.total_power,
+                      iterations=len(trace.iterations))
+
+
 def run_draw(scenario: Scenario, value, draw: int) -> DrawResult:
     """Solve one channel realization of one sweep point."""
     t0 = time.perf_counter()
-    rng = _draw_rng(scenario, value, draw)
-    cfg = _config_for(scenario, value, rng)
-    ch = gen_channel(cfg, rng)
+    ch, cfg = _draw_instance(scenario, value, draw)
     if scenario.solver == "polyblock":
         from .polyblock import PolyblockSolver
         inner = PolyblockSolver(allow_high_dim=True)
@@ -273,33 +291,69 @@ def run_draw(scenario: Scenario, value, draw: int) -> DrawResult:
     try:
         trace = dinkelbach.solve(ch, cfg, inner)
     except dinkelbach.InfeasibleProblemError:
-        return DrawResult(value=value, draw=draw, feasible=False, status="infeasible",
-                          wall_s=time.perf_counter() - t0)
-    report = trace.final_report
-    feasible = model.check_feasibility(trace.final_allocation, ch, cfg).ok
-    return DrawResult(value=value, draw=draw, feasible=feasible, status=trace.status,
-                      ee=report.ee, sum_rate=report.sum_rate, power=report.total_power,
-                      iterations=len(trace.iterations),
-                      wall_s=time.perf_counter() - t0)
+        trace = None
+    result = _draw_result(value, draw, ch, cfg, trace)
+    result.wall_s = time.perf_counter() - t0
+    return result
 
 
-def _run_draw_star(args) -> DrawResult:
-    return run_draw(*args)
+def run_draws(scenario: Scenario, points: list[tuple]) -> list[DrawResult]:
+    """Solve the draws ``points``, (value, draw) each, of one scenario as one
+    lockstep batch (``dinkelbach.solve_many``), with ``run_draw``'s results
+    bit for bit.  A draw's ``wall_s`` is the time spent on it alone (its
+    config, channel and final check), what its inner solves were charged
+    (``SolveStats.wall_time``: their own time and their shares of each
+    lockstep step) and an even share of the rest of the batched solve, so
+    the draws' ``wall_s`` sum to the batch's wall time.  The polyblock
+    oracle has nothing to batch, so its draws run one at a time."""
+    if scenario.solver == "polyblock":
+        return [run_draw(scenario, value, draw) for value, draw in points]
+    t = time.perf_counter()
+    spent, instances = [], []
+    for value, draw in points:
+        instances.append(_draw_instance(scenario, value, draw))
+        now = time.perf_counter()
+        spent.append(now - t)
+        t = now
+    traces = dinkelbach.solve_many(instances, ScaleSolver())
+    now = time.perf_counter()
+    charged = [sum(it.inner_stats.wall_time for it in trace.iterations)
+               + (trace.failed_stats.wall_time if trace.failed_stats else 0.0)
+               for trace in traces]
+    rest = (now - t - sum(charged)) / len(points)
+    t = now
+    results = []
+    for (value, draw), (ch, cfg), trace, own, inner in zip(points, instances, traces,
+                                                           spent, charged):
+        result = _draw_result(value, draw, ch, cfg, trace)
+        now = time.perf_counter()
+        result.wall_s = own + inner + rest + now - t
+        t = now
+        results.append(result)
+    return results
+
+
+def _run_draws_star(args) -> list[DrawResult]:
+    return run_draws(*args)
 
 
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """All sweep points, each averaged over the scenario's channel draws.
-    Draw tasks run through a process pool when workers > 1; results are
+    With workers > 1 the draws are dealt round-robin into one batch per
+    worker process, each solved in lockstep (``run_draws``); results are
     aggregated in deterministic (value, draw) order either way."""
-    tasks = [(scenario, value, draw)
-             for value in scenario.values for draw in range(scenario.draws)]
-    if scenario.workers > 1 and len(tasks) > 1:
+    points = [(value, draw) for value in scenario.values for draw in range(scenario.draws)]
+    n_batches = min(scenario.workers, len(points))
+    if n_batches > 1:
         # imported here: multiprocessing costs every importer memory and time
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=scenario.workers) as pool:
-            results = list(pool.map(_run_draw_star, tasks, chunksize=1))
+        batches = [(scenario, points[i::n_batches]) for i in range(n_batches)]
+        results = [None] * len(points)
+        with ProcessPoolExecutor(max_workers=n_batches) as pool:
+            for i, batch in enumerate(pool.map(_run_draws_star, batches)):
+                results[i::n_batches] = batch
     else:
-        results = [run_draw(*t) for t in tasks]
+        results = [run_draw(scenario, value, draw) for value, draw in points]
 
     rows = []
     for value in scenario.values:

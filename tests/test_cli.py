@@ -273,6 +273,8 @@ class TestCommands:
         ("sweep --workers 0", None, "workers"),
         # a negative box budget would certify local == global without a box
         ("gap --budget -3", None, "max_iter"),
+        # a negative count used to write a header-only CSV and exit 0
+        ("gap --instances -2", None, "instances"),
     ])
     def test_bad_values_and_traffic_reported(self, tmp_path, capsys, command, text, key):
         argv = command.split()

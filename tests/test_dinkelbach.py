@@ -9,7 +9,7 @@ from hcran_noma.dinkelbach import InfeasibleProblemError, surplus
 from hcran_noma.model import PowerAllocation
 from hcran_noma.polyblock import PolyblockSolver
 from hcran_noma.scale import ScaleSolver, SolveStats, InnerResult
-from hcran_noma.scenarios import build_config, gen_channel
+from hcran_noma.scenarios import ARCHITECTURES, build_config, gen_channel, tiny_instance
 
 from conftest import make_config, make_channel
 
@@ -282,3 +282,95 @@ class TestInnerResultReport:
         assert calls["inner"] == calls["all"] > 0
         assert trace.final_report == model.energy_efficiency(trace.final_allocation, ch, cfg)
         assert trace.final_e == trace.final_report.ee
+
+
+@st.composite
+def _batch(draw):
+    """(ch, cfg) problems of mixed architectures and sizes, desk-scale ones
+    (at most 16 cells, so several starts each) among them, and one
+    infeasible problem at a drawn place."""
+    problems = []
+    for _ in range(draw(st.integers(1, 4))):
+        seed = draw(st.integers(0, 2**16))
+        if draw(st.booleans()):
+            k = draw(st.integers(2, 8))
+            cfg = build_config(draw(st.sampled_from(ARCHITECTURES)), k_total=k,
+                               k_streaming=draw(st.integers(0, k // 2)), rng=seed,
+                               l_max=draw(st.integers(1, 3)),
+                               n_subcarriers=draw(st.sampled_from([4, 8])))
+            problems.append((gen_channel(cfg, seed), cfg))
+        else:
+            inst = tiny_instance(np.random.default_rng(seed))
+            problems.append((inst.ch, inst.cfg))
+    # absurd minimum rate at this bandwidth: no allocation meets it
+    cfg = make_config(m=1, k=2, n=1, streaming=(0,), bandwidth=1e-3)
+    problems.insert(draw(st.integers(0, len(problems))), (make_channel(cfg, seed=51), cfg))
+    return problems
+
+
+def _same(a, b) -> bool:
+    return a == b or (a != a and b != b)  # NaN where both are unset
+
+
+def _assert_same_inner(got, want):
+    assert got.status == want.status
+    assert got.allocation.p.tobytes() == want.allocation.p.tobytes()
+    assert got.report == want.report
+    for name in ("rounds", "total_sweeps", "round_objectives", "fixed_point_residual",
+                 "budget_unbracketed", "true_objective", "infeasible_reason"):
+        assert _same(getattr(got.stats, name), getattr(want.stats, name)), name
+
+
+class TestLockstepBatches:
+    """A batch solves each member exactly as a solve of its own would."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(problems=_batch(), data=st.data())
+    def test_scale_solve_many_equals_single_solves(self, problems, data):
+        # each problem at a drawn e, from a warm start (a cold solve's
+        # allocation at e = 0) where one is drawn and exists
+        batch = []
+        for ch, cfg in problems:
+            e = data.draw(st.floats(0.0, 2.0))
+            warm = None
+            if data.draw(st.booleans()):
+                cold = ScaleSolver().solve_fixed_e(ch, cfg, 0.0)
+                warm = cold.allocation if cold.status == "ok" else None
+            batch.append((ch, cfg, e, warm))
+        results = ScaleSolver().solve_many(batch)
+        assert len(results) == len(batch)
+        for problem, got in zip(batch, results):
+            _assert_same_inner(got, ScaleSolver().solve_fixed_e(*problem))
+
+    @settings(max_examples=10, deadline=None)
+    @given(problems=_batch())
+    def test_dinkelbach_solve_many_equals_single_solves(self, problems):
+        traces = dinkelbach.solve_many(problems, ScaleSolver())
+        assert len(traces) == len(problems)
+        for (ch, cfg), got in zip(problems, traces):
+            try:
+                want = dinkelbach.solve(ch, cfg, ScaleSolver())
+            except InfeasibleProblemError:
+                assert got.status == "infeasible" and got.final_allocation is None
+                assert got.failed_stats.infeasible_reason is not None
+                continue
+            assert got.status == want.status
+            assert got.e_values == want.e_values
+            assert [it.surplus for it in got.iterations] == [it.surplus for it in want.iterations]
+            assert got.final_allocation.p.tobytes() == want.final_allocation.p.tobytes()
+            assert got.final_e == want.final_e and got.final_report == want.final_report
+            for a, b in zip(got.iterations, want.iterations):
+                for name in ("rounds", "total_sweeps", "round_objectives",
+                             "fixed_point_residual", "budget_unbracketed"):
+                    assert _same(getattr(a.inner_stats, name), getattr(b.inner_stats, name))
+
+    def test_polyblock_solve_many_is_a_loop(self):
+        rng = np.random.default_rng(3)
+        insts = [tiny_instance(rng) for _ in range(3)]
+        solver = PolyblockSolver(allow_high_dim=True, max_iter=50)
+        got = solver.solve_many([(i.ch, i.cfg, i.e, None) for i in insts])
+        for inst, res in zip(insts, got):
+            want = solver.solve_fixed_e(inst.ch, inst.cfg, inst.e)
+            assert res.status == want.status and res.report == want.report
+            assert res.allocation.p.tobytes() == want.allocation.p.tobytes()
+

@@ -263,6 +263,53 @@ class TestSeatedEntries:
             assert got[user] == pytest.approx(expected[user], rel=1e-12)
 
 
+class TestConcatEntries:
+    """``SeatedEntries.concat``: each part's slice of the concatenation
+    gives the part's own sums, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
+                                    st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.booleans()),
+                          min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_slices_equal_each_part(self, parts, seed):
+        rng = np.random.default_rng(seed)
+        lists, powers, xs, weights = [], [], [], []
+        for m, k, n, density, ties in parts:
+            shape = (m, k, n)
+            gamma = (rng.choice([1e-8, 1e-7], size=shape) if ties
+                     else rng.exponential(1e-7, shape))
+            ch = ChannelState(gamma=gamma, sigma=rng.uniform(1e-14, 1e-13, shape))
+            ent = model.seated_entries(ch, rng.uniform(size=shape) < density)
+            lists.append(ent)
+            powers.append(rng.uniform(0.0, 1.0, len(ent)))
+            xs.append(rng.uniform(0.0, 1.0, len(ent)))
+            weights.append(rng.uniform(0.2, 1.0, (m, k)))
+        cat = model.SeatedEntries.concat(lists)
+        p, x = np.concatenate(powers), np.concatenate(xs)
+        # the parts' weights on the diagonal blocks of the joined (heads, users)
+        joined_weights = np.zeros((cat.n_heads, cat.n_users))
+        floor, cross = cat.noise_floor(p)
+        got = {"floor": floor, "cross": cross, "adjoint_cross": cat.adjoint_cross(x),
+               "adjoint_same": cat.adjoint_same(x), "sinr": cat.sinr(p)}
+        at = heads = users = 0
+        for ent, w_i in zip(lists, weights):
+            joined_weights[heads:heads + ent.n_heads, users:users + ent.n_users] = w_i
+            heads, users = heads + ent.n_heads, users + ent.n_users
+        rates = cat.user_rates(p, joined_weights)
+        users = 0
+        for ent, p_i, x_i, w_i in zip(lists, powers, xs, weights):
+            sl = slice(at, at + len(ent))
+            floor_i, cross_i = ent.noise_floor(p_i)
+            own = {"floor": floor_i, "cross": cross_i, "adjoint_cross": ent.adjoint_cross(x_i),
+                   "adjoint_same": ent.adjoint_same(x_i), "sinr": ent.sinr(p_i)}
+            for name, value in own.items():
+                assert np.array_equal(got[name][sl], value), name
+            assert np.array_equal(rates[users:users + ent.n_users], ent.user_rates(p_i, w_i))
+            assert np.array_equal(cat.flat[sl], ent.flat)
+            at, users = at + len(ent), users + ent.n_users
+
+
 class TestPower:
     def test_static_floor_constants(self):
         # 3 W fiber at the macro site, 1 W per low-power head, 0.1 W / 3 W

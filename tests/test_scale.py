@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -457,6 +458,14 @@ class TestTracedNames:
         assert counts["coeffs_at"] > 0
 
 
+def _rounds(ctx, p0):
+    """The rounds of one start p0 (M, K, N) on its own, a batch of one:
+    (end point (M, K, N), round objectives, fixed-point residual)."""
+    member = scale._Member(ctx, p0, scale.SolveStats())
+    scale._run_rounds([member])
+    return member.p_end, member.round_objs, member.residual
+
+
 class TestSeatedRounds:
     def test_rounds_read_no_dense_rates(self, monkeypatch):
         # the rounds re-tighten the bound and test their objective on the
@@ -471,8 +480,7 @@ class TestSeatedRounds:
                 calls.append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(model, name, counting)
-        _, round_objs, _ = ScaleSolver()._run_rounds(ctx, greedy_init(cfg, ch),
-                                                     scale.SolveStats())
+        _, round_objs, _ = _rounds(ctx, greedy_init(cfg, ch))
         assert len(round_objs) >= 2
         assert calls == []
 
@@ -484,7 +492,7 @@ class TestSeatedRounds:
                            rng=np.random.default_rng(14), m_f=3, n_subcarriers=32)
         ch = gen_channel(cfg, 31)
         ctx = _SolveContext(ch, cfg, e=0.0)
-        p, _, _ = ScaleSolver()._run_rounds(ctx, greedy_init(cfg, ch), scale.SolveStats())
+        p, _, _ = _rounds(ctx, greedy_init(cfg, ch))
         moved = set()
         for name in ("_trim_streaming", "_boost_streaming"):
             def watching(q, *args, _name=name, _real=getattr(scale, name)):
@@ -786,6 +794,36 @@ class TestBudgetSolve:
         assert _power_sums(num, den, mask, xi)[0] > budget[0]
         assert xi[1] == 0.0
 
+    def test_batch_counts_each_members_heads(self):
+        # a batch solves its members' heads as one list, with one stats per
+        # head: each member's xi and unbracketed count are its own solve's
+        rng = np.random.default_rng(7)
+        members = []
+        for m, unbracketed in ((2, True), (3, False), (1, True)):
+            shape = (m, 2, 3)
+            num = rng.uniform(0.1, 1.0, shape)
+            den, mask = rng.uniform(0.1, 1.0, shape), rng.uniform(0.5, 2.0, shape)
+            budget = _power_sums(num, den, mask, np.zeros(m)) * rng.uniform(0.05, 1.3, m)
+            if unbracketed:  # the root sits out of the evaluation cap's reach
+                num[0], den[0], mask[0], budget[0] = 1e300, 1.0, 1.0, 0.5
+            members.append((num.reshape(-1), den.reshape(-1), mask.reshape(-1),
+                            np.repeat(np.arange(m), 6), budget, rng.uniform(0, 2, m)))
+        alone = []
+        for num, den, mask, head, budget, warm in members:
+            stats = scale.SolveStats()
+            alone.append((_budget_dual(num, den, mask, head, budget, warm, stats), stats))
+        # the members' entries laid end to end, head indices offset
+        heads_before = np.cumsum([0] + [mem[4].size for mem in members[:-1]])
+        joined = [np.concatenate(parts) for parts in zip(*members)]
+        joined[3] = np.concatenate([mem[3] + off for mem, off in zip(members, heads_before)])
+        batch_stats = [scale.SolveStats() for _ in members]
+        per_head = [st for st, mem in zip(batch_stats, members) for _ in mem[4]]
+        xi = _budget_dual(*joined, per_head)
+        for (xi_alone, stats), st, off in zip(alone, batch_stats, heads_before):
+            assert np.array_equal(xi[off:off + xi_alone.size], xi_alone)
+            assert st.budget_unbracketed == stats.budget_unbracketed
+        assert [st.budget_unbracketed for st in batch_stats] == [1, 0, 1]
+
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 6),
            warm=st.sampled_from(["none", "zero", "below", "above"]),
@@ -863,6 +901,23 @@ class TestInnerSolve:
                                "dual_update", "repair_sic", "trim", "boost", "check"}
         assert all(t >= 0.0 for t in phases.values())
         assert sum(phases.values()) <= stats.wall_time
+
+    def test_batch_phases_share_its_time(self):
+        # a batch charges each problem its own time and an even share of
+        # each lockstep step, so the problems' phases add up to about the
+        # batch's wall time (not to a multiple of it) and their wall times
+        # to all of it
+        problems = []
+        for k, seed in ((8, 1), (12, 2), (6, 3)):
+            cfg = build_config("hcran", k_total=k, k_streaming=2, rng=seed, n_subcarriers=8)
+            problems.append((gen_channel(cfg, seed), cfg, 0.5, None))
+        t0 = time.perf_counter()
+        results = ScaleSolver().solve_many(problems)
+        elapsed = time.perf_counter() - t0
+        charged = sum(res.stats.phases.total() for res in results)
+        assert 0.9 * elapsed <= charged <= elapsed, (charged, elapsed)
+        total = sum(res.stats.wall_time for res in results)
+        assert charged <= total <= elapsed, (charged, total, elapsed)
 
     def test_single_entry_matches_golden_section(self):
         # 1-D oracle: maximize log2(1 + p g / s) - e eta p over [0, mask]

@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import hcran_noma
 from hcran_noma import dinkelbach
 from hcran_noma.model import ConfigError, Tolerances
 from hcran_noma.scenarios import (PlacementError, Scenario, build_config,
-                                  gen_channel, run_draw, run_sweep,
+                                  gen_channel, run_draw, run_draws, run_sweep,
                                   tiny_instance)
 
 
@@ -153,6 +155,45 @@ class TestSweeps:
         serial = run_sweep(self._scenario())
         pooled = run_sweep(self._scenario(workers=2))
         assert serial[0].mean_ee == pooled[0].mean_ee
+
+    @pytest.mark.parametrize("kw", [dict(sweep="users", values=(8, 12, 6)),
+                                    dict(bandwidth_hz=1e-2)])  # every draw infeasible
+    def test_lockstep_draws_equal_single_draws(self, kw):
+        sc = self._scenario(**kw)
+        points = [(v, d) for v in sc.values for d in range(sc.draws)]
+        fields = [f.name for f in dataclasses.fields(run_draw(sc, *points[0]))
+                  if f.name != "wall_s"]
+        for got, (value, draw) in zip(run_draws(sc, points), points):
+            want = run_draw(sc, value, draw)
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+    def test_lockstep_wall_times_sum_to_the_batch(self):
+        # each draw is charged its own time and its share of every lockstep
+        # step, so a batch's wall_s sum to its wall time
+        sc = self._scenario(sweep="users", values=(8, 12, 6))
+        points = [(v, d) for v in sc.values for d in range(sc.draws)]
+        t0 = time.perf_counter()
+        results = run_draws(sc, points)
+        elapsed = time.perf_counter() - t0
+        total = sum(r.wall_s for r in results)
+        assert all(r.wall_s > 0 for r in results)
+        assert abs(total - elapsed) <= 0.01 * elapsed, (total, elapsed)
+
+    def test_pooled_sweep_batches_draws(self):
+        # four draws on two workers: two lockstep batches of two.  The rows
+        # are the serial ones, and every batch's wall_s sum to at most its
+        # worker's share of the sweep, which charging each lockstep step in
+        # full to every member it advanced would exceed
+        sc = self._scenario(sweep="users", values=(8, 12), draws=2)
+        serial = run_sweep(sc)
+        t0 = time.perf_counter()
+        pooled = run_sweep(dataclasses.replace(sc, workers=2))
+        elapsed = time.perf_counter() - t0
+        for a, b in zip(serial, pooled):
+            assert dataclasses.replace(a, mean_wall_s=0.0) == dataclasses.replace(b, mean_wall_s=0.0)
+        assert all(row.n_feasible == row.n_draws for row in pooled)
+        charged = sum(row.mean_wall_s * row.n_draws for row in pooled)
+        assert 0 < charged <= 2 * elapsed, (charged, elapsed)
 
     def test_import_loads_no_process_pool(self):
         # only a pooled sweep needs multiprocessing; importing the package
