@@ -7,8 +7,8 @@ processes."""
 
 from .model import (ChannelState, ConfigError, EnergyReport, FeasibilityReport,
                     NetworkConfig, PowerAllocation, Tolerances, UserSpec,
-                    check_feasibility, derive_binaries, energy_efficiency,
-                    sic_margin, sinr, total_power, user_rate, weighted_sum_rate)
+                    check_feasibility, energy_efficiency, total_power,
+                    weighted_sum_rate)
 from .traffic import (TrafficSpec, delay_roots, max_delay_from_queue,
                       min_rate_for_delay, validate_delay)
 from .dinkelbach import (DinkelbachTrace, InfeasibleProblemError, InnerSolver,
@@ -16,20 +16,19 @@ from .dinkelbach import (DinkelbachTrace, InfeasibleProblemError, InnerSolver,
 from .scale import ScaleSolver, scale_coeffs
 from .polyblock import PolyblockSolver
 from .scenarios import Scenario, build_config, gen_channel, run_sweep
-from .overhead import QuantizationTable, count_centralized, count_distributed
+from .overhead import count_centralized, count_distributed
 
 __all__ = [
     "ChannelState", "ConfigError", "EnergyReport", "FeasibilityReport",
     "NetworkConfig", "PowerAllocation", "Tolerances", "UserSpec",
-    "check_feasibility", "derive_binaries", "energy_efficiency", "sic_margin",
-    "sinr", "total_power", "user_rate", "weighted_sum_rate",
+    "check_feasibility", "energy_efficiency", "total_power", "weighted_sum_rate",
     "TrafficSpec", "delay_roots", "max_delay_from_queue", "min_rate_for_delay",
     "validate_delay",
     "DinkelbachTrace", "InfeasibleProblemError", "InnerSolver", "solve", "surplus",
     "ScaleSolver", "scale_coeffs",
     "PolyblockSolver",
     "Scenario", "build_config", "gen_channel", "run_sweep",
-    "QuantizationTable", "count_centralized", "count_distributed",
+    "count_centralized", "count_distributed",
 ]
 
 __version__ = "0.1.0"

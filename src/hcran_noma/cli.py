@@ -285,7 +285,9 @@ def _cmd_overhead(args) -> int:
 def _cmd_gap(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"instances must be at least 1, got {args.instances!r}")
-    rng = np.random.default_rng(args.seed or 0)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed!r}")
+    rng = np.random.default_rng(args.seed)
     lines = _header_lines("optimality gap study",
                           {"instances": args.instances, "seed": args.seed})
     lines.append("instance,dim,scale_value,poly_value,poly_gap,ratio")

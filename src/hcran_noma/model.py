@@ -97,7 +97,6 @@ class Tolerances:
     outer_max: int = 30       # max fractional-programming iterations
     rho1: float | None = None
     rho2: float | None = None
-    dual_cap: float = 1e8     # cap on the cancellation-order multipliers (scaled)
     c13_rate_tol: float = 1e-6  # bits/s/Hz band on min-rate feasibility
     c14_rel_tol: float = 1e-9   # relative band on the SIC margin products
     box_rel_tol: float = 1e-9   # relative band on mask/budget checks
@@ -106,7 +105,7 @@ class Tolerances:
         for name in ("s_max", "v_max", "outer_max"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        for name in ("xi", "varpi1_rel", "varpi2_rel", "dual_cap", "c13_rate_tol",
+        for name in ("xi", "varpi1_rel", "varpi2_rel", "c13_rate_tol",
                      "c14_rel_tol", "box_rel_tol"):
             if not 0.0 <= getattr(self, name) < np.inf:  # also rejects NaN
                 raise ConfigError(f"{name} must be finite and non-negative")
@@ -203,7 +202,7 @@ class NetworkConfig:
 
     @property
     def binarization_threshold(self) -> float:
-        """Powers below this are treated as off when recovering indicators."""
+        """Powers at or below this are dropped by the inner solver's repair."""
         return 1e-6 * self.max_mask
 
     def static_power(self) -> float:
@@ -459,7 +458,8 @@ def seated_entries(ch: ChannelState, support: np.ndarray) -> SeatedEntries:
 
 @dataclass
 class PowerAllocation:
-    """Continuous transmit powers (``derive_binaries`` gives the indicators)."""
+    """Continuous transmit powers; an entry serves its user where its power
+    is positive."""
 
     p: np.ndarray  # (M, K, N) W
 
@@ -543,27 +543,6 @@ def rate_array(p: np.ndarray, ch: ChannelState) -> np.ndarray:
     return np.log2(1.0 + sinr_array(p, ch))
 
 
-def _check_index(name: str, value: int, bound: int) -> None:
-    if not 0 <= value < bound:
-        raise IndexError(f"{name}={value} out of range [0, {bound})")
-
-
-def sinr(alloc: PowerAllocation, ch: ChannelState, m: int, k: int, n: int) -> float:
-    """Post-cancellation SINR of user k on subcarrier n served by RRH m."""
-    mm, kk, nn = ch.gamma.shape
-    _check_index("m", m, mm)
-    _check_index("k", k, kk)
-    _check_index("n", n, nn)
-    if np.any(alloc.p < 0):
-        raise ValueError("allocation contains negative powers")
-    return float(sinr_array(alloc.p, ch)[m, k, n])
-
-
-def user_rate(alloc: PowerAllocation, ch: ChannelState, m: int, k: int, n: int) -> float:
-    """Rate of user k on subcarrier n in RRH m, bits/s/Hz."""
-    return float(np.log2(1.0 + sinr(alloc, ch, m, k, n)))
-
-
 def per_user_rate(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig) -> np.ndarray:
     """(K,) weighted total rate of each user across RRHs and subcarriers."""
     rates = rate_array(alloc.p, ch)
@@ -594,43 +573,15 @@ def surplus(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig,
     return energy_efficiency(alloc, ch, cfg).surplus(e)
 
 
-def sic_margin(alloc: PowerAllocation, ch: ChannelState,
-               m: int, k: int, k_prime: int, n: int) -> float:
-    """Signed margin of the cancellation-order condition for the pair
-    (k stronger, k_prime weaker) on (m, n).  Non-positive means user k can
-    decode and strip k_prime's signal before its own.
-
-    Margin = G_k' * sigma_k - G_k * sigma_k' + G_k' * C_k - G_k * C_k'
-    with C_x the cross-RRH interference received at user x.
-    """
-    mm, kk, nn = ch.gamma.shape
-    _check_index("m", m, mm)
-    _check_index("k", k, kk)
-    _check_index("k_prime", k_prime, kk)
-    _check_index("n", n, nn)
-    if k == k_prime:
-        raise ValueError("k and k_prime must differ")
-    if not ch.rank[m, k, n] < ch.rank[m, k_prime, n]:
-        raise ValueError(
-            f"decode-order precondition violated: user {k} is not stronger "
-            f"than user {k_prime} on (m={m}, n={n})"
-        )
-    cross = cross_interference(alloc.p, ch)
-    g_k = ch.gamma[m, k, n]
-    g_kp = ch.gamma[m, k_prime, n]
-    return float(
-        g_kp * ch.sigma[m, k, n] - g_k * ch.sigma[m, k_prime, n]
-        + g_kp * cross[m, k, n] - g_k * cross[m, k_prime, n]
-    )
-
-
 def pair_margins(pairs: SupportPairs, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of ``sic_margin`` over a pair list: (omega, scale), both
-    (..., L), from a cross-interference array (..., M, K, N).
+    """Signed margins of the cancellation-order condition over a pair list:
+    (omega, scale), both (..., L), from a cross-interference array
+    (..., M, K, N), C_x the other heads' power received at member x.
 
-    omega = g_w*(s_s + C_s) - g_s*(s_w + C_w); positive breaks the decode
-    order.  scale is the sum of the four terms' magnitudes, the normaliser of
-    the relative tolerance bands."""
+    omega = g_w*(s_s + C_s) - g_s*(s_w + C_w); non-positive means the strong
+    member can decode and strip the weak member's signal before its own.
+    scale is the sum of the four terms' magnitudes, the normaliser of the
+    relative tolerance bands."""
     c_s, c_w = pairs.sides(cross)
     omega = pairs.bracket(c_s) - pairs.g_s * c_w
     scale = pairs.noise_scale + pairs.g_w * c_s + pairs.g_s * c_w
@@ -666,15 +617,15 @@ class FeasibilityReport:
         return f"FeasibilityReport({len(self.violations)} violations; worst={worst})"
 
 
-def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConfig,
-                      streaming_min_rates: np.ndarray | None = None) -> FeasibilityReport:
+def check_feasibility(alloc: PowerAllocation, ch: ChannelState,
+                      cfg: NetworkConfig) -> FeasibilityReport:
     """Collect violations of the continuous problem's constraints.
 
     C4   0 <= p <= mask (exact up to float slack); a NaN power breaks it
     C10  cross-RRH power products of one user stay below rho1
     C11  products over any l_max+1 users on one (m, n) stay below rho2
     C12  per-RRH power budget
-    C13  streaming users meet their minimum rates
+    C13  streaming users meet their minimum rates (``cfg.min_rates``)
     C14  active NOMA pairs keep a valid cancellation order
 
     C10 compares the product of each user's two largest per-head peaks with
@@ -684,9 +635,6 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
     in that order.  Apart from the cached decode order, neither builds an
     array larger than (M, K, N) or one entry per powered pair: at most
     C(l_max, 2) per (m, n) when at most l_max users are powered there.
-
-    streaming_min_rates defaults to the delay-induced thresholds from the
-    config's traffic specs.
     """
     tol = cfg.tolerances
     p = alloc.p
@@ -734,11 +682,10 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
         out.append(Violation("C12", (int(m),), float(sums[m] - cfg.p_max[m])))
 
     # C13: streaming minimum rates
-    if streaming_min_rates is None:
-        streaming_min_rates = cfg.min_rates()
+    min_rates = cfg.min_rates()
     rates = per_user_rate(alloc, ch, cfg)
     for k in cfg.streaming_users():
-        deficit = streaming_min_rates[k] - rates[k]
+        deficit = min_rates[k] - rates[k]
         if deficit > tol.c13_rate_tol:
             out.append(Violation("C13", (int(k),), float(deficit)))
 
@@ -760,29 +707,3 @@ def check_feasibility(alloc: PowerAllocation, ch: ChannelState, cfg: NetworkConf
 
     return FeasibilityReport(out)
 
-
-def derive_binaries(alloc: PowerAllocation, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the subcarrier indicator rho[m,k,n] and the RRH selection
-    a[m,k] from a continuous allocation.
-
-    a marks, per user, the RRH carrying its largest total power (none when all
-    RRHs are effectively off).  rho marks, per (m, n), the up-to-l_max largest
-    powers above the binarization threshold.  The result always satisfies
-    sum_k rho <= l_max and sum_m a <= 1.
-    """
-    p = alloc.p
-    eps = cfg.binarization_threshold
-    m_count, k_count, n_count = p.shape
-
-    a = np.zeros((m_count, k_count), dtype=np.uint8)
-    per_rrh = p.sum(axis=2)  # (M, K)
-    best = np.argmax(per_rrh, axis=0)
-    on = per_rrh[best, np.arange(k_count)] > eps
-    a[best[on], np.nonzero(on)[0]] = 1
-
-    rho = np.zeros_like(p, dtype=np.uint8)
-    order = np.argsort(p, axis=1)[:, ::-1, :]  # users by descending power
-    ranked = np.take_along_axis(p, order, axis=1)
-    keep = (ranked > eps) & (np.arange(k_count)[None, :, None] < cfg.l_max)
-    np.put_along_axis(rho, order, keep.astype(np.uint8), axis=1)
-    return rho, a

@@ -2,7 +2,7 @@
 
 Counts the quantized items exchanged per solver round.  Every feedback item
 (channel entries, power/indicator entries, multiplier entries) is quantized
-with a fixed small bit budget, 3 bits per item by default.
+with the same small bit budget, 3 bits per item (``_BITS_PER_ITEM``).
 
 Centralized: users feed their channel gains to the central pool, which
 returns per-entry powers, subcarrier indicators and serving-node choices, and
@@ -17,24 +17,11 @@ broadcasts shrink from a dense (M, K, N) tensor to the assigned-user slices
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .model import NetworkConfig
 
-
-@dataclass(frozen=True)
-class QuantizationTable:
-    """Bits used per transmitted item, by item class (all default to 3)."""
-
-    dual_entry: int = 3       # multiplier vector entries
-    alloc_entry: int = 3      # power / indicator entries
-    channel_entry: int = 3    # channel gain entries
-
-    def __post_init__(self) -> None:
-        for f in ("dual_entry", "alloc_entry", "channel_entry"):
-            if getattr(self, f) < 1:
-                raise ValueError(f"{f} must be >= 1 bit")
+_BITS_PER_ITEM = 3
 
 
 def _multiplier_items(cfg: NetworkConfig) -> int:
@@ -62,7 +49,7 @@ def _multiplier_items(cfg: NetworkConfig) -> int:
             + m * n * comb(k, 2))
 
 
-def count_centralized(cfg: NetworkConfig, quant: QuantizationTable | None = None) -> int:
+def count_centralized(cfg: NetworkConfig) -> int:
     """Bits exchanged per centralized solver round.
 
     channel feedback   M*K*N entries (every user, every head, every subcarrier)
@@ -71,17 +58,13 @@ def count_centralized(cfg: NetworkConfig, quant: QuantizationTable | None = None
     serving choices    M*K   entries
     multipliers        see _multiplier_items
     """
-    q = quant or QuantizationTable()
     m, k, n = cfg.n_rrh, cfg.n_users, cfg.n_subcarriers
     channel = m * k * n
     alloc = m * k * n + m * k * n + m * k
-    return (q.channel_entry * channel
-            + q.alloc_entry * alloc
-            + q.dual_entry * _multiplier_items(cfg))
+    return _BITS_PER_ITEM * (channel + alloc + _multiplier_items(cfg))
 
 
-def count_distributed(cfg: NetworkConfig, rounds: int,
-                      quant: QuantizationTable | None = None) -> int:
+def count_distributed(cfg: NetworkConfig, rounds: int) -> int:
     """Bits broadcast over ``rounds`` distributed iterations.
 
     Per round, each head broadcasts the powers and subcarrier flags of its own
@@ -93,9 +76,6 @@ def count_distributed(cfg: NetworkConfig, rounds: int,
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
-    q = quant or QuantizationTable()
     k, n = cfg.n_users, cfg.n_subcarriers
     alloc = k * n + k * n + k
-    per_round = (q.alloc_entry * alloc
-                 + q.dual_entry * _multiplier_items(cfg))
-    return rounds * per_round
+    return rounds * _BITS_PER_ITEM * (alloc + _multiplier_items(cfg))

@@ -97,6 +97,9 @@ _Z_FLOOR = 1e-300
 # full-scale violation moves a multiplier by this fraction of its useful size
 _RATE_GAIN = 0.8
 _SIC_GAIN = 0.6
+# cap on the cancellation-order multipliers, in units of their scale
+# den_scale / p_ref (``_SolveContext.seat``)
+_SIC_CAP = 1e8
 # sweeps a round runs before its convergence test may stop it
 _MIN_SWEEPS = 8
 # instances with at most this many power entries run several starts: every
@@ -182,7 +185,7 @@ class StepRule:
 
     zeta_step: np.ndarray    # (K,)
     sic_step: np.ndarray     # (L,) one per seated pair
-    sic_cap: float | np.ndarray  # (L,) in a batch, each pair its start's cap
+    sic_cap: np.ndarray      # (L,) one per seated pair
 
     @staticmethod
     def at(v: int) -> float:
@@ -296,7 +299,7 @@ def _budget_power_sum(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
 
 def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
                  head: np.ndarray, budget: np.ndarray, warm: np.ndarray | None = None,
-                 stats: "SolveStats | list[SolveStats] | None" = None) -> np.ndarray:
+                 stats: list[SolveStats] | None = None) -> np.ndarray:
     """Per-RRH budget multipliers solved to complementary slackness: the
     smallest xi >= 0 with S(xi) = sum of clip(num/(den_rest + xi), 0, mask)
     over the head's entries <= budget, to relative precision _BUDGET_RTOL,
@@ -320,9 +323,9 @@ def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
 
     A head that already fits at xi = 0 returns 0.  A head that ends the
     _BUDGET_MAX_EVALS evaluations with no point within its budget returns
-    its largest evaluated xi and is counted in ``stats.budget_unbracketed``,
-    or, when stats is a list (one per head, as a batch passes its members'),
-    in its own head's."""
+    its largest evaluated xi and is counted in its head's entry of stats
+    (one ``SolveStats`` per head: a batch passes each member's for each of
+    its heads)."""
     off = num <= 0  # powered off at every xi
     num, mask = np.where(off, 0.0, num), np.where(off, 0.0, mask)
     limit = budget.tolist()
@@ -365,11 +368,8 @@ def _budget_dual(num: np.ndarray, den_rest: np.ndarray, mask: np.ndarray,
                 return np.array(hi)
             open_heads = still_open
     unbracketed = [h == math.inf for h in hi]
-    if isinstance(stats, list):
-        for head_stats, missed in zip(stats, unbracketed):
-            head_stats.budget_unbracketed += missed
-    elif stats is not None:
-        stats.budget_unbracketed += sum(unbracketed)
+    for head_stats, missed in zip(stats or [], unbracketed):
+        head_stats.budget_unbracketed += missed
     return np.array([l if h == math.inf else h for l, h in zip(lo, hi)])
 
 
@@ -463,14 +463,14 @@ def _finish(ctx: "_SolveContext", warm_start: PowerAllocation | None, stats: Sol
 
     alloc = PowerAllocation(p=ctx.repair(best.p_end, times))
     t = time.perf_counter()
-    feasible = model.check_feasibility(alloc, ch, cfg, ctx.min_rates).ok
+    feasible = model.check_feasibility(alloc, ch, cfg).ok
     report = model.energy_efficiency(alloc, ch, cfg)
 
     # never return something worse than a feasible warm start
     if warm_start is not None:
         warm_report = model.energy_efficiency(warm_start, ch, cfg)
         if ((not feasible or report.surplus(e) < warm_report.surplus(e))
-                and model.check_feasibility(warm_start, ch, cfg, ctx.min_rates).ok):
+                and model.check_feasibility(warm_start, ch, cfg).ok):
             alloc, report, feasible = warm_start.copy(), warm_report, True
     if feasible:
         status = "ok"
@@ -597,7 +597,7 @@ class _Member:
         snap = ctx.analyze(p, duals, self.coeffs, ctx.linearize(p))
         t = times.lap("analyze", t)
         xi = _budget_dual(snap.num, snap.den, ctx.mask, ctx.entries.head,
-                          ctx.cfg.p_max, duals.xi, self.stats)
+                          ctx.cfg.p_max, duals.xi, [self.stats] * ctx.cfg.n_rrh)
         t = times.lap("budget", t)
         p_check = ctx.sweep(snap, xi)
         self.residual = float((ctx.head_max(np.abs(p_check - p)) / ctx.cfg.p_max).max())
@@ -742,7 +742,7 @@ class _Batch(_Sweeps):
         self.head_stats = [m.stats for m, n in zip(members, sizes["head"]) for _ in range(n)]
         self.zeta_step = joined(lambda c: c.step_rule.zeta_step)
         self.sic_step = joined(lambda c: c.step_rule.sic_step)
-        self.sic_cap = joined(lambda c: np.full(len(c.pairs), c.step_rule.sic_cap))
+        self.sic_cap = joined(lambda c: c.step_rule.sic_cap)
         self.user_member = np.repeat(np.arange(len(members)), sizes["user"])
         self.pair_member = np.repeat(np.arange(len(members)), sizes["pair"])
 
@@ -878,7 +878,7 @@ class _SolveContext(_Sweeps):
             zeta_step=np.full(self.shape[1], _RATE_GAIN / self.rate_scale),
             sic_step=(_SIC_GAIN * self.den_scale
                       / (self.p_ref * scale**2 * mask_s * mask_w + 1e-300)),
-            sic_cap=cfg.tolerances.dual_cap * self.den_scale / self.p_ref,
+            sic_cap=np.full(len(pairs), _SIC_CAP * self.den_scale / self.p_ref),
         )
 
     def seated(self, seating: np.ndarray) -> "_SolveContext":

@@ -60,6 +60,13 @@ def _ring_positions(count: int, radius: float, phase: float = 0.0) -> np.ndarray
 
 def _architecture_nodes(architecture: str, m_f: int | None) -> list[tuple[str, np.ndarray]]:
     """(tier, position) per node; slot 0 is the config's high-power slot."""
+    if m_f is not None:
+        if architecture in ("hcn", "hpn1"):
+            raise ConfigError(f"m_f must be left unset for {architecture}, whose "
+                              f"head count is fixed; got {m_f!r}")
+        if m_f < 0:
+            raise ConfigError(f"m_f (the low-power head count) must be "
+                              f"non-negative, got {m_f!r}")
     if architecture == "hcran":
         n_lpn = 2 if m_f is None else m_f
         nodes = [("hpn", np.zeros(2))]
@@ -90,12 +97,16 @@ def build_config(architecture: str = "hcran", k_total: int = 12,
                  mask_dbm: float | None = None) -> NetworkConfig:
     """Concrete network for one experiment draw: nodes per the architecture,
     users placed uniformly in the coverage disc (streaming users first)."""
+    if k_streaming < 0:
+        raise ConfigError(f"k_streaming must be non-negative, got {k_streaming!r}")
     if k_streaming > k_total:
         raise ConfigError("more streaming users than users")
+    if n_subcarriers < 1:
+        raise ConfigError(f"n_subcarriers must be at least 1, got {n_subcarriers!r}")
     for key, value in (("arrival_rate", arrival_rate), ("queue_packets", queue_packets),
                        ("packet_bits", packet_bits)):
-        if not value > 0:
-            raise ConfigError(f"{key} must be positive, got {value!r}")
+        if not 0 < value < np.inf:  # also rejects NaN
+            raise ConfigError(f"{key} must be positive and finite, got {value!r}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     nodes = _architecture_nodes(architecture, m_f)
     n_nodes = len(nodes)
@@ -196,6 +207,8 @@ class Scenario:
         for name in ("draws", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         if self.sweep in ("users", "streaming", "lpn"):
             # a count sweep runs int(value): a fraction would mislabel its row
             for value in self.values:
@@ -306,6 +319,8 @@ def run_draws(scenario: Scenario, points: list[tuple]) -> list[DrawResult]:
     lockstep step) and an even share of the rest of the batched solve, so
     the draws' ``wall_s`` sum to the batch's wall time.  The polyblock
     oracle has nothing to batch, so its draws run one at a time."""
+    if not points:
+        return []
     if scenario.solver == "polyblock":
         return [run_draw(scenario, value, draw) for value, draw in points]
     t = time.perf_counter()

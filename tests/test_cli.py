@@ -275,6 +275,24 @@ class TestCommands:
         ("gap --budget -3", None, "max_iter"),
         # a negative count used to write a header-only CSV and exit 0
         ("gap --instances -2", None, "instances"),
+        # nonsense networks used to build one head, end in a traceback
+        # (IndexError, ZeroDivisionError, an infinite traffic figure) or
+        # silently ignore the head count
+        ("overhead --m 0", None, "m_f"),
+        ("overhead --m -3", None, "m_f"),
+        ("solve", "architecture: cran\nm_f: -1\n", "m_f"),
+        ("overhead --streaming -1", None, "k_streaming"),
+        ("solve", "n_subcarriers: 0\n", "n_subcarriers"),
+        ("overhead --n 0", None, "n_subcarriers"),
+        ("sweep --arch hcn --sweep lpn --values 1,4 --draws 1", None, "m_f"),
+        ("solve", "architecture: hpn1\nm_f: 3\n", "m_f"),
+        ("solve", "arrival_rate: .inf\n", "arrival_rate"),
+        ("solve", "queue_packets: .inf\n", "queue_packets"),
+        # a negative seed used to die in numpy
+        ("solve --seed -1", None, "seed"),
+        ("sweep --seed -1", None, "seed"),
+        ("sweep", "seed: -2\n", "seed"),
+        ("gap --seed -1", None, "seed"),
     ])
     def test_bad_values_and_traffic_reported(self, tmp_path, capsys, command, text, key):
         argv = command.split()

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from hcran_noma import dinkelbach, model
 from hcran_noma.model import (ChannelState, ConfigError, PowerAllocation,
-                              Tolerances, check_feasibility, derive_binaries,
-                              energy_efficiency, sic_margin, sinr,
-                              total_power, user_rate, weighted_sum_rate)
+                              Tolerances, check_feasibility, energy_efficiency,
+                              rate_array, sinr_array, total_power,
+                              weighted_sum_rate)
 from hcran_noma.scale import ScaleSolver
 
 from conftest import make_config, make_channel
@@ -48,19 +48,18 @@ class TestSinr:
     def test_single_user_identity(self):
         cfg = make_config(m=1, k=1, n=1)
         ch = uniform_channel(cfg, 1.0)
-        alloc = PowerAllocation(p=np.ones((1, 1, 1)))
-        assert sinr(alloc, ch, 0, 0, 0) == pytest.approx(1.0)
+        assert sinr_array(np.ones((1, 1, 1)), ch)[0, 0, 0] == pytest.approx(1.0)
 
     def test_strong_user_sees_no_weak_interference(self):
         cfg = make_config(m=1, k=2, n=1)
         shape = (1, 2, 1)
         gamma = np.array([2.0, 1.0]).reshape(shape)  # user 0 stronger
         ch = ChannelState(gamma=gamma, sigma=np.ones(shape))
-        alloc = PowerAllocation(p=np.full(shape, 3.0))
+        z = sinr_array(np.full(shape, 3.0), ch)
         # the weaker user's signal is decoded and removed at the strong user
-        assert sinr(alloc, ch, 0, 0, 0) == pytest.approx(3.0 * 2.0 / 1.0)
+        assert z[0, 0, 0] == pytest.approx(3.0 * 2.0 / 1.0)
         # the weak user eats the strong user's power through its own channel
-        assert sinr(alloc, ch, 0, 1, 0) == pytest.approx(3.0 / (1.0 + 3.0))
+        assert z[0, 1, 0] == pytest.approx(3.0 / (1.0 + 3.0))
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 3), k=st.integers(1, 5), n=st.integers(1, 3),
@@ -77,17 +76,10 @@ class TestSinr:
             gamma = gamma * (rng.random(shape) < 0.6)
         ch = ChannelState(gamma=gamma, sigma=rng.uniform(1e-14, 1e-13, shape))
         p = rng.uniform(0.0, 1.0, (stack, *shape)) * (rng.random((stack, *shape)) < 0.7)
-        got = model.sinr_array(p, ch)
+        got = sinr_array(p, ch)
         for b, mm, kk, nn in np.ndindex(got.shape):
             assert got[b, mm, kk, nn] == pytest.approx(
                 manual_sinr(p[b], gamma, ch.sigma, mm, kk, nn), rel=1e-12), (b, mm, kk, nn)
-
-    def test_index_errors(self, small_cfg, small_channel):
-        alloc = model.zeros_like_alloc(small_cfg)
-        with pytest.raises(IndexError):
-            sinr(alloc, small_channel, 5, 0, 0)
-        with pytest.raises(IndexError):
-            sinr(alloc, small_channel, 0, 0, 99)
 
 
 class TestRates:
@@ -95,26 +87,26 @@ class TestRates:
         cfg = make_config(m=1, k=1, n=1)
         shape = (1, 1, 1)
         ch = ChannelState(gamma=np.ones(shape), sigma=np.ones(shape))
-        assert user_rate(PowerAllocation(p=np.ones(shape)), ch, 0, 0, 0) == pytest.approx(1.0)
-        assert user_rate(PowerAllocation(p=np.zeros(shape)), ch, 0, 0, 0) == pytest.approx(0.0)
-        assert user_rate(PowerAllocation(p=np.full(shape, 3.0)), ch, 0, 0, 0) == pytest.approx(2.0)
+        assert rate_array(np.ones(shape), ch)[0, 0, 0] == pytest.approx(1.0)
+        assert rate_array(np.zeros(shape), ch)[0, 0, 0] == pytest.approx(0.0)
+        assert rate_array(np.full(shape, 3.0), ch)[0, 0, 0] == pytest.approx(2.0)
 
     def test_rate_is_log_of_sinr(self, small_cfg, small_channel):
         rng = np.random.default_rng(0)
-        alloc = PowerAllocation(p=rng.uniform(0, 0.5, small_channel.gamma.shape))
+        p = rng.uniform(0, 0.5, small_channel.gamma.shape)
+        rates = rate_array(p, small_channel)
         for m in range(small_cfg.n_rrh):
             for k in range(small_cfg.n_users):
                 for n in range(small_cfg.n_subcarriers):
-                    z = sinr(alloc, small_channel, m, k, n)
-                    assert user_rate(alloc, small_channel, m, k, n) == pytest.approx(
-                        np.log2(1 + z), rel=1e-12)
+                    z = manual_sinr(p, small_channel.gamma, small_channel.sigma, m, k, n)
+                    assert rates[m, k, n] == pytest.approx(np.log2(1 + z), rel=1e-12)
 
     def test_monotone_in_own_power(self, small_cfg, small_channel):
         rng = np.random.default_rng(1)
         p = rng.uniform(0, 0.5, small_channel.gamma.shape)
-        base = user_rate(PowerAllocation(p=p.copy()), small_channel, 0, 1, 0)
+        base = rate_array(p, small_channel)[0, 1, 0]
         p[0, 1, 0] *= 1.5
-        assert user_rate(PowerAllocation(p=p), small_channel, 0, 1, 0) >= base
+        assert rate_array(p, small_channel)[0, 1, 0] >= base
 
     def test_weighted_sum_rate_trivials(self, small_cfg, small_channel):
         zero = model.zeros_like_alloc(small_cfg)
@@ -478,35 +470,32 @@ class TestDecodeOrder:
         assert pairs.strong.shape == pairs.weak.shape == (0,)
 
 
+def pair_margin(p, ch, m, strong, weak, n):
+    """``pair_margins``' omega of the pair (strong decodes weak) on (m, n),
+    listed by ``support_pairs`` over every entry; fails unless the pair is
+    listed in that orientation."""
+    pairs = model.support_pairs(ch, np.ones(ch.gamma.shape, dtype=bool))
+    omega, _ = model.pair_margins(pairs, model.cross_interference(p, ch))
+    (i,) = np.flatnonzero(
+        (pairs.strong == np.ravel_multi_index((m, strong, n), ch.gamma.shape))
+        & (pairs.weak == np.ravel_multi_index((m, weak, n), ch.gamma.shape)))
+    return omega[i]
+
+
 class TestSicMargin:
     def test_symmetric_zero(self):
-        cfg = make_config(m=2, k=2, n=1)
         shape = (2, 2, 1)
         ch = ChannelState(gamma=np.ones(shape), sigma=np.ones(shape))
-        alloc = PowerAllocation(p=np.zeros(shape))
         # equal gains, equal noise, no cross power: the margin vanishes;
         # ties orient toward the lower index, so (0, 1) is the valid order
-        assert sic_margin(alloc, ch, 0, 0, 1, 0) == pytest.approx(0.0)
+        assert pair_margin(np.zeros(shape), ch, 0, 0, 1, 0) == pytest.approx(0.0)
 
     def test_sign_forced_without_cross_power(self):
-        cfg = make_config(m=1, k=2, n=1)
         shape = (1, 2, 1)
         gamma = np.array([3.0, 1.0]).reshape(shape)
         ch = ChannelState(gamma=gamma, sigma=np.ones(shape))
-        alloc = PowerAllocation(p=np.zeros(shape))
         # gamma_weak*sigma - gamma_strong*sigma = 1 - 3 < 0
-        assert sic_margin(alloc, ch, 0, 0, 1, 0) == pytest.approx(-2.0)
-
-    def test_order_precondition(self):
-        cfg = make_config(m=1, k=2, n=1)
-        shape = (1, 2, 1)
-        gamma = np.array([3.0, 1.0]).reshape(shape)
-        ch = ChannelState(gamma=gamma, sigma=np.ones(shape))
-        alloc = PowerAllocation(p=np.zeros(shape))
-        with pytest.raises(ValueError):
-            sic_margin(alloc, ch, 0, 1, 0, 0)  # wrong orientation
-        with pytest.raises(ValueError):
-            sic_margin(alloc, ch, 0, 1, 1, 0)
+        assert pair_margin(np.zeros(shape), ch, 0, 0, 1, 0) == pytest.approx(-2.0)
 
     def test_sign_agrees_with_direct_comparison(self):
         # oracle: the weak user's signal measured at the strong user must be
@@ -516,12 +505,11 @@ class TestSicMargin:
         for trial in range(50):
             ch = make_channel(cfg, seed=100 + trial)
             p = rng.uniform(0, 1.0, ch.gamma.shape)
-            alloc = PowerAllocation(p=p)
             cross = model.cross_interference(p, ch)
             for m in range(2):
                 # user 0 decodes first on a larger or equal gain
                 a, b = (0, 1) if ch.gamma[m, 0, 0] >= ch.gamma[m, 1, 0] else (1, 0)
-                omega = sic_margin(alloc, ch, m, a, b, 0)
+                omega = pair_margin(p, ch, m, a, b, 0)
                 at_strong = ch.gamma[m, a, 0] / (ch.sigma[m, a, 0] + cross[m, a, 0])
                 at_weak = ch.gamma[m, b, 0] / (ch.sigma[m, b, 0] + cross[m, b, 0])
                 assert (omega <= 0) == (at_strong >= at_weak)
@@ -609,7 +597,8 @@ class TestFeasibility:
             decodes = g_i > g_j or (g_i == g_j and i < j)
             if i == j or not decodes or p[mm, i, nn] <= 0 or p[mm, j, nn] <= 0:
                 continue
-            omega = sic_margin(alloc, ch, mm, i, j, nn)
+            omega = (g_j * sigma[mm, i, nn] - g_i * sigma[mm, j, nn]
+                     + g_j * cross[mm, i, nn] - g_i * cross[mm, j, nn])
             scale = (g_j * sigma[mm, i, nn] + g_i * sigma[mm, j, nn]
                      + g_j * cross[mm, i, nn] + g_i * cross[mm, j, nn])
             pp = p[mm, i, nn] * p[mm, j, nn]
@@ -634,35 +623,6 @@ class TestFeasibility:
             assert a < b
             assert p[a, kk, n1] * p[b, kk, n2] == best[kk]
             assert v.magnitude == best[kk] - cfg.rho1
-
-
-class TestDeriveBinaries:
-    def test_zero_allocation(self, small_cfg):
-        rho, a = derive_binaries(model.zeros_like_alloc(small_cfg), small_cfg)
-        assert rho.sum() == 0 and a.sum() == 0
-
-    def test_single_serving_head(self, small_cfg):
-        alloc = model.zeros_like_alloc(small_cfg)
-        alloc.p[1, 2, 0] = 0.1
-        rho, a = derive_binaries(alloc, small_cfg)
-        assert a[1, 2] == 1 and a.sum() == 1
-        assert rho[1, 2, 0] == 1
-
-    def test_top_l_selection(self):
-        cfg = make_config(m=1, k=4, n=1, l_max=3)
-        alloc = model.zeros_like_alloc(cfg)
-        alloc.p[0, :, 0] = [0.4, 0.1, 0.3, 0.2]
-        rho, _ = derive_binaries(alloc, cfg)
-        assert list(rho[0, :, 0]) == [1, 0, 1, 1]
-
-    def test_invariants_random(self):
-        cfg = make_config(m=2, k=6, n=3, l_max=3)
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            alloc = PowerAllocation(p=rng.uniform(0, 0.3, (2, 6, 3)))
-            rho, a = derive_binaries(alloc, cfg)
-            assert np.all(rho.sum(axis=1) <= cfg.l_max)
-            assert np.all(a.sum(axis=0) <= 1)
 
 
 class TestConfigValidation:

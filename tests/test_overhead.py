@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from hcran_noma.overhead import (QuantizationTable, count_centralized,
+from hcran_noma.overhead import (_BITS_PER_ITEM, count_centralized,
                                  count_distributed)
 from hcran_noma.scenarios import build_config
 
@@ -24,16 +24,6 @@ def enumerated_multiplier_items(m, k, n, ks, l_max=3):
     return rate + pair + tup + sic
 
 
-class TestQuantizationTable:
-    def test_default_three_bits(self):
-        q = QuantizationTable()
-        assert q.dual_entry == q.alloc_entry == q.channel_entry == 3
-
-    def test_minimum_one_bit(self):
-        with pytest.raises(ValueError):
-            QuantizationTable(dual_entry=0)
-
-
 class TestCentralized:
     def test_unit_network(self):
         cfg = cfg_for(1, 1, 1, streaming=1)
@@ -42,12 +32,14 @@ class TestCentralized:
         assert count_centralized(cfg) == 3 * (1 + 1 + 1 + 1 + 1)
 
     def test_channel_term(self):
-        cfg = cfg_for(3, 4, 8, streaming=2)
-        with_channel = count_centralized(cfg)
-        without_channel = count_centralized(cfg, QuantizationTable(channel_entry=1))
+        m, k, n, ks = 3, 4, 8, 2
+        cfg = cfg_for(m, k, n, streaming=ks)
+        decisions = 2 * m * k * n + m * k
+        channel = count_centralized(cfg) - _BITS_PER_ITEM * (
+            decisions + enumerated_multiplier_items(m, k, n, ks))
         # the channel term alone is 3 * (M K N) = 288 bits
-        assert with_channel - without_channel == 2 * (3 * 4 * 8)
-        assert 3 * (3 * 4 * 8) == 288
+        assert _BITS_PER_ITEM == 3
+        assert channel == 288
 
     def test_matches_enumeration(self):
         for m, k, n, ks in ((1, 3, 2, 1), (2, 5, 3, 2), (3, 4, 8, 2)):

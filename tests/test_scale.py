@@ -658,7 +658,7 @@ def _budget_dual_of(num, den, mask, budget, warm=None, stats=None):
     their head index."""
     head = np.repeat(np.arange(num.shape[0]), num[0].size)
     return _budget_dual(num.reshape(-1), den.reshape(-1), mask.reshape(-1), head,
-                        budget, warm, stats)
+                        budget, warm, None if stats is None else [stats] * num.shape[0])
 
 
 class TestBudgetDual:
@@ -811,7 +811,8 @@ class TestBudgetSolve:
         alone = []
         for num, den, mask, head, budget, warm in members:
             stats = scale.SolveStats()
-            alone.append((_budget_dual(num, den, mask, head, budget, warm, stats), stats))
+            alone.append((_budget_dual(num, den, mask, head, budget, warm,
+                                       [stats] * budget.size), stats))
         # the members' entries laid end to end, head indices offset
         heads_before = np.cumsum([0] + [mem[4].size for mem in members[:-1]])
         joined = [np.concatenate(parts) for parts in zip(*members)]
@@ -863,7 +864,7 @@ class TestBudgetSolve:
                  "below": ref * rng.uniform(0.0, 1.0, m),
                  "above": ref * rng.uniform(1.0, 10.0, m) + rng.uniform(0, 1, m)}[warm]
         stats, ref_stats = scale.SolveStats(), scale.SolveStats()
-        xi = _budget_dual(num, den, mask, head, budget, start, stats)
+        xi = _budget_dual(num, den, mask, head, budget, start, [stats] * m)
         expected = _reference_budget_dual(num, den, mask, head, budget, start, ref_stats)
         assert np.array_equal(xi, expected), (xi, expected)
         assert stats.budget_unbracketed == ref_stats.budget_unbracketed

@@ -167,6 +167,9 @@ class TestSweeps:
             want = run_draw(sc, value, draw)
             assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
+    def test_no_draws_no_results(self):
+        assert run_draws(self._scenario(), []) == []
+
     def test_lockstep_wall_times_sum_to_the_batch(self):
         # each draw is charged its own time and its share of every lockstep
         # step, so a batch's wall_s sum to its wall time
