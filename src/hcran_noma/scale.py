@@ -60,15 +60,29 @@ entries' SINRs, the sweeps (the analysis, the budget-multiplier solve, the
 closed-form update and its step test), and the round tests, which read the
 surrogate objective and user rates that the analysis reads.  The (M, K, N)
 iterate is built once per start, for its true objective (``model.surplus``)
-and the repair.  The repair lists the pairs of its current support the same
-way, and the feasibility check those of the powered entries.
+and the repair, and the feasibility check lists the pairs of the powered
+entries the same way.
+
+The repair lists its support once, after the power threshold, as one entry
+list that every step reads: the streaming trim and boost their rates
+(``SeatedEntries.user_rates``), the cancellation-order repair its pairs.
+Its steps only scale or zero powers, except the boost's water-fill, which
+rebuilds the list when it powers a cell outside it.  An unpowered entry
+adds an exact zero to every sum, in place, so a list that holds every
+powered cell gives the rates of a list of the powered cells alone, bit for
+bit.  The trim scales a streaming user's powers by the smallest s on the
+grid j * 2**-30 whose rate w @ log2(1 + s*z), summed over the user's
+powered entries, meets the user's target: a Newton estimate rounded up to
+the grid, certified by the bracket f(s) >= target > f(s - 2**-30), which
+is what a 30-step bisection of [0, 1] returns wherever the computed rate
+is nondecreasing on the grid.
 
 Every interference sum comes from ``model``: the rounds' from the seated
 entry list (its floor, and the adjoint same-head and other-head sums),
-which reads no unseated entry, the streaming trim's and boost's rates from
-the entry list of the repair's current support (``SeatedEntries.user_rates``),
-and only the feasibility check's, the independent gate, from the dense
-(M, K, N) rate chain.
+which reads no unseated entry, the streaming trim's and boost's from the
+repair's entry list, and only the cancellation-order repair's margins and
+the feasibility check's, the independent gate, from the dense (M, K, N)
+cross interference and rate chain.
 
 The printed closed-form updates this solver descends from show inconsistent
 index patterns in their pressure sums, so all terms here are derived directly
@@ -113,9 +127,11 @@ _MULTISTART_ASSIGNMENTS = 8
 _BUDGET_RTOL = 2.0**-42
 _BUDGET_MAX_EVALS = 100
 # the streaming trim leaves each user this much (bits/s/Hz) above its minimum
-# rate, in at most this many passes over the streaming users
+# rate, in at most this many passes over the streaming users, on the grid of
+# scales j * 2**-_TRIM_STEPS (``_trim_scale``)
 _TRIM_MARGIN = 0.05
 _TRIM_PASSES = 2
+_TRIM_STEPS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +845,9 @@ class _Batch(_Sweeps):
 class _SolveContext(_Sweeps):
     """Everything fixed for one problem of a solve, plus the vectorized
     per-sweep analysis over the entries of one start's seating and their
-    pairs (``seat``), as flat (E,) and (L,) arrays; a new context seats
-    nothing, and ``seated`` gives a copy per start."""
+    pairs (``seat``), as flat (E,) and (L,) arrays.  A new context carries
+    no seating: ``seated`` gives a seated copy per start, and only the
+    problem's constants and ``repair`` are read before that."""
 
     def __init__(self, ch: ChannelState, cfg: NetworkConfig, e: float):
         self.ch = ch
@@ -851,7 +868,6 @@ class _SolveContext(_Sweeps):
         self.den_scale = max(e * float(cfg.eta.max()), 1.0 / (LN2 * self.p_ref))
         # cross interference at mask power, which sets each pair's margin scale
         self.cross_at_mask = cross_interference(cfg.p_mask, ch)
-        self.seat(np.zeros(self.shape, dtype=bool))
 
     # -- state builders -----------------------------------------------------
     def scale_at_mask(self, pairs: model.SupportPairs) -> np.ndarray:
@@ -931,53 +947,63 @@ class _SolveContext(_Sweeps):
         iterate's support lies inside its start's exclusive seating (every
         unseated entry sits at the log floor), so one head per user and the
         per-subcarrier user limit already hold.  Whether the result meets
-        the streaming rates is left to ``model.check_feasibility``."""
+        the streaming rates is left to ``model.check_feasibility``.
+
+        Every step reads one entry list, built over the support left after
+        the threshold: the trim and the boost their rates, the cancellation
+        repair its pairs.  Every step but the boost's fill only scales or
+        zeroes powers, so the list keeps holding every powered cell; the
+        boost rebuilds it when a fill powers a cell outside it."""
         cfg, ch = self.cfg, self.ch
         t = time.perf_counter()
         q = p.copy()
         q[q <= cfg.binarization_threshold] = 0.0
+        ent = model.seated_entries(ch, q > 0)
 
-        self._repair_sic(q)
+        self._repair_sic(q, ent)
         scale = np.minimum(1.0, cfg.p_max / np.maximum(q.sum(axis=(1, 2)), 1e-300))
         q *= scale[:, None, None]
-        self._repair_sic(q)
+        self._repair_sic(q, ent)
         t = times.lap("repair_sic", t)
 
         if self.streaming:
+            scores = service_scores(cfg, ch)
             banned = np.zeros_like(q, dtype=bool)
             for _ in range(4):
                 # streaming transmit power is free in the power model, so its
                 # only cost is interference and budget: shave any service
                 # excess first so one lifted user cannot starve the next
-                _trim_streaming(q, ch, cfg, self.min_rates)
+                _trim_streaming(q, ent, cfg, self.min_rates)
                 t = times.lap("trim", t)
-                q, ok = _boost_streaming(q, ch, cfg, self.min_rates, banned)
+                ok, ent = _boost_streaming(q, ent, ch, cfg, self.min_rates, banned, scores)
                 t = times.lap("boost", t)
-                removed = self._repair_sic(q)
+                removed = self._repair_sic(q, ent)
                 t = times.lap("repair_sic", t)
                 banned |= removed
                 if ok and not removed.any():
                     break
-            _trim_streaming(q, ch, cfg, self.min_rates)
+            _trim_streaming(q, ent, cfg, self.min_rates)
             t = times.lap("trim", t)
             # a trim moves the cross interference at other heads, which can
             # turn a cancellation margin positive
-            self._repair_sic(q)
+            self._repair_sic(q, ent)
             times.lap("repair_sic", t)
         return q
 
-    def _repair_sic(self, q: np.ndarray) -> np.ndarray:
+    def _repair_sic(self, q: np.ndarray, ent: model.SeatedEntries) -> np.ndarray:
         """Silence one side of any active pair whose cancellation margin is
         positive, preferring to drop an elastic partner over a streaming one;
         iterates because removals change the cross interference.  Returns the
-        mask of cells zeroed.  The pairs are those of q's support on entry:
-        removals only shrink it."""
+        mask of cells zeroed.  The pairs are those of the entry list ent,
+        which must hold every powered cell of q; a pair with an unpowered
+        member is never active."""
         cfg = self.cfg
+        pairs = ent.pairs
         removed = np.zeros_like(q, dtype=bool)
-        pairs = model.support_pairs(self.ch, q > 0)
         band = 0.5 * cfg.tolerances.c14_rel_tol * self.scale_at_mask(pairs)
         # drop the weak side unless only the strong side is elastic
-        e_s, e_w = pairs.sides(np.broadcast_to(self.elastic[:, None], self.shape))
+        elastic = self.elastic[ent.user]
+        e_s, e_w = elastic[ent.strong], elastic[ent.weak]
         drop = np.where(e_s & ~e_w, pairs.strong, pairs.weak)
         for _ in range(cfg.n_users + 1):
             omega, _ = model.pair_margins(pairs, cross_interference(q, self.ch))
@@ -1039,44 +1065,87 @@ def greedy_init(cfg: NetworkConfig, ch: ChannelState,
     return np.maximum(p * scale[:, None, None], floor)
 
 
-def _trim_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
+def _trim_streaming(p: np.ndarray, ent: model.SeatedEntries, cfg: NetworkConfig,
                     min_rates: np.ndarray) -> None:
     """Scale each streaming user's powers down until its rate sits just above
     its minimum.  Trimming only removes interference, so every other user's
-    rate can only rise.  The rates are read on one entry list of p's support,
-    which the trim keeps, since it only scales.  In the repair each user sits
-    on one head, so its own powers stay out of its floor: with z its SINRs,
-    scaling its powers by s gives the rate w_k @ log2(1 + s*z) exactly."""
-    ent = model.seated_entries(ch, p > 0)
+    rate can only rise.  The rates are read on the entry list ent, which
+    holds every powered cell of p; the trim only scales, so it keeps that.
+    In the repair each user sits on one head, so its own powers stay out of
+    its floor: with z its SINRs, scaling its powers by s gives the rate
+    w_k @ log2(1 + s*z) exactly.  That sum runs over the user's powered
+    entries alone, in flat order (``_trim_scale``)."""
     p_e = ent.take(p)
     weight = cfg.weights[ent.head, ent.user]
-    users = [(k, np.flatnonzero(ent.user == k)) for k in cfg.streaming_users()]
+    powered = p_e > 0
+    users = [(k, np.flatnonzero(powered & (ent.user == k))) for k in cfg.streaming_users()]
+    z_all = None  # the SINRs at p_e, until a trim moves it
     for _ in range(_TRIM_PASSES):
         trimmed = False
         for k, mine in users:
             if mine.size == 0:
                 continue
-            z, w = ent.sinr(p_e)[mine], weight[mine]
+            if z_all is None:
+                z_all = ent.sinr(p_e)
+            z, w = z_all[mine], weight[mine]
             target = min_rates[k] + _TRIM_MARGIN
-            if w @ np.log2(1.0 + z) <= target:
+            rate = w @ np.log2(1.0 + z)
+            if rate <= target:
                 continue
-            lo, hi = 0.0, 1.0
-            for _ in range(30):
-                mid = 0.5 * (lo + hi)
-                if w @ np.log2(1.0 + mid * z) >= target:
-                    hi = mid
-                else:
-                    lo = mid
-            if hi < 1.0:
-                p_e[mine] *= hi
+            s = _trim_scale(w, z, target, rate)
+            if s < 1.0:
+                p_e[mine] *= s
                 trimmed = True
+                z_all = None
         if not trimmed:
             break
     p.flat[ent.flat] = p_e
 
 
-def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
-                     min_rates: np.ndarray, banned: np.ndarray) -> tuple[np.ndarray, bool]:
+def _scaled_rate(w: np.ndarray, z: np.ndarray, s: float) -> tuple[float, float]:
+    """f(s) = w @ log2(1 + s*z), a user's rate with its powers scaled by s,
+    and its slope in log s, w @ (s*z / (1 + s*z)) / ln 2."""
+    x = s * z
+    y = 1.0 + x
+    return w @ np.log2(y), w @ (x / y) / LN2
+
+
+def _trim_scale(w: np.ndarray, z: np.ndarray, target: float, rate: float) -> float:
+    """The smallest s of the grid j * 2**-_TRIM_STEPS, j = 1 .. 2**_TRIM_STEPS,
+    with f(s) >= target, for f(s) = w @ log2(1 + s*z) (``_scaled_rate``) and
+    rate = f(1) > target > 0: what a bisection of [0, 1] in _TRIM_STEPS
+    halvings returns whenever the computed f is nondecreasing on the grid.
+
+    f is concave and increasing in s, with f(0) = 0, so its chord gives a
+    grid point at or above the root, and f(e**t) is convex in t, so a
+    Newton step in log s from above the root stays above it.  Each iterate
+    is rounded up to the grid and evaluated there; once a step moves less
+    than a grid point, single grid steps down end at the certificate the
+    bisection ends with, f(s) >= target > f(s - 2**-_TRIM_STEPS).  An
+    iterate that rounding leaves below the target steps up to it instead."""
+    grid = 1 << _TRIM_STEPS
+    j = min(max(math.ceil(target / rate * grid), 1), grid)
+    while True:
+        f, slope = _scaled_rate(w, z, j / grid)
+        if f < target:
+            while f < target:
+                j += 1
+                f, _ = _scaled_rate(w, z, j / grid)
+            return j / grid
+        if j == 1:
+            return j / grid
+        j_next = max(math.ceil(j * math.exp(-(f - target) / slope)), 1)
+        if j_next >= j:
+            break
+        j = j_next
+    while j > 1 and _scaled_rate(w, z, (j - 1) / grid)[0] >= target:
+        j -= 1
+    return j / grid
+
+
+def _boost_streaming(p: np.ndarray, ent: model.SeatedEntries, ch: ChannelState,
+                     cfg: NetworkConfig, min_rates: np.ndarray, banned: np.ndarray,
+                     scores: np.ndarray) -> tuple[bool, model.SeatedEntries]:
     """Raise streaming users' powers until each meets its minimum rate.
 
     Water-fills each deficient user's serving RRH, best-channel subcarriers
@@ -1086,29 +1155,32 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
     (for example removed by the cancellation-order repair) are never used.
     When the budget runs out, elastic powers on the same RRH are shrunk to
     make headroom; a user whose serving head is exhausted is moved wholesale
-    to its next-best head.  Every rate is read on an entry list
-    (``seated_entries``) that holds every powered cell.  Returns (powers,
-    success)."""
+    to its next-best head (by ``scores``, ``service_scores``).
+
+    Every rate is read on the entry list ent, which holds every powered cell
+    of p, and read again only once p has moved.  A fill that powers a cell
+    outside the list first rebuilds it over the powered cells and the
+    user's whole row on that head; unpowered entries add exact zeros to every sum, so any list
+    that holds the powered cells gives the same rates.  Returns (success,
+    the list)."""
     streaming = cfg.streaming_users()
     elastic = cfg.elastic_mask()
     tol = cfg.tolerances.c13_rate_tol
-    m_count, k_count, n_count = p.shape
-    scores = service_scores(cfg, ch)
+    k_count = p.shape[1]
     tried: dict[int, set] = {k: set() for k in streaming}
+    listed = np.zeros(p.shape, dtype=bool)
+    listed.flat[ent.flat] = True
+    rates = None  # (K,) the user rates at p, until p moves
 
-    def rates_at(ent: model.SeatedEntries | None = None) -> np.ndarray:
-        """(K,) the user rates at p, read on ent, else on the list of p > 0."""
-        if ent is None:
-            ent = model.seated_entries(ch, p > 0)
-        return ent.user_rates(ent.take(p), cfg.weights)
+    def rates_at() -> np.ndarray:
+        nonlocal rates
+        if rates is None:
+            rates = ent.user_rates(ent.take(p), cfg.weights)
+        return rates
 
     def fill(k: int, m: int) -> float:
-        """Water-fill user k on head m; returns k's rate after.  The fill
-        powers, evicts and shrinks only cells of its entry list: the powered
-        ones and k's row on head m."""
-        support = p > 0
-        support[m, k, :] = True
-        ent = model.seated_entries(ch, support)
+        """Water-fill user k on head m; returns k's rate after."""
+        nonlocal ent, listed, rates
         for n in np.argsort(ch.gamma[m, k, :])[::-1]:
             if banned[m, k, n]:
                 continue
@@ -1119,30 +1191,35 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
                     continue
                 evict = min(movable, key=lambda u: p[m, u, n])
                 p[m, evict, n] = 0.0
+                rates = None
             headroom = cfg.p_max[m] - p[m].sum()
             if headroom <= 1e-15 * cfg.p_max[m]:
                 shrink = elastic & (np.arange(k_count) != k)
                 p[m, shrink, :] *= 0.85
+                rates = None
                 headroom = cfg.p_max[m] - p[m].sum()
             delta = min(cfg.p_mask[m, k, n] - p[m, k, n], headroom)
             if delta <= 1e-12 * cfg.p_mask[m, k, n]:
                 continue
+            if not listed[m, k, n]:
+                listed = p > 0
+                listed[m, k, :] = True
+                ent = model.seated_entries(ch, listed)
             p[m, k, n] += delta
-            if rates_at(ent)[k] >= min_rates[k] - tol * 0.5:
+            rates = None
+            if rates_at()[k] >= min_rates[k] - tol * 0.5:
                 break
-        return rates_at(ent)[k]
+        return rates_at()[k]
 
     min_gain = 0.05  # bits/s/Hz a round must deliver to count as progress
     for _ in range(4 * len(streaming) + 4):
-        rates = rates_at()
-        deficits = np.where(elastic, 0.0, min_rates - rates)
+        deficits = np.where(elastic, 0.0, min_rates - rates_at())
         deficient = [k for k in streaming if deficits[k] > tol * 0.5]
         if not deficient:
-            return p, True
+            return True, ent
         any_progress = False
-        for i, k in enumerate(sorted(deficient, key=lambda k: -deficits[k])):
-            # nothing has moved since the round's rates until the first fill
-            rate0 = rates[k] if i == 0 else rates_at()[k]
+        for k in sorted(deficient, key=lambda k: -deficits[k]):
+            rate0 = rates_at()[k]
             totals = p.sum(axis=2)
             m = (int(np.argmax(totals[:, k])) if totals[:, k].max() > 0
                  else int(np.argmax(scores[:, k])))
@@ -1157,12 +1234,12 @@ def _boost_streaming(p: np.ndarray, ch: ChannelState, cfg: NetworkConfig,
                       if mm not in tried[k]]
             if others:
                 p[:, k, :] = 0.0
+                rates = None
                 tried[k].add(int(others[0]))
                 rate2 = fill(k, int(others[0]))
                 if rate2 >= min_rates[k] - tol * 0.5 or rate2 > rate0 + min_gain:
                     any_progress = True
         if not any_progress:
-            return p, False
-    rates = rates_at()
-    ok = bool(np.all(rates[streaming] >= min_rates[streaming] - tol))
-    return p, ok
+            return False, ent
+    met = rates_at()[streaming] >= min_rates[streaming] - tol
+    return bool(np.all(met)), ent

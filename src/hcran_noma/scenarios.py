@@ -97,6 +97,8 @@ def build_config(architecture: str = "hcran", k_total: int = 12,
                  mask_dbm: float | None = None) -> NetworkConfig:
     """Concrete network for one experiment draw: nodes per the architecture,
     users placed uniformly in the coverage disc (streaming users first)."""
+    if k_total < 1:
+        raise ConfigError(f"k_total must be at least 1, got {k_total!r}")
     if k_streaming < 0:
         raise ConfigError(f"k_streaming must be non-negative, got {k_streaming!r}")
     if k_streaming > k_total:

@@ -282,6 +282,9 @@ class TestCommands:
         ("overhead --m -3", None, "m_f"),
         ("solve", "architecture: cran\nm_f: -1\n", "m_f"),
         ("overhead --streaming -1", None, "k_streaming"),
+        # a negative user count used to read "more streaming users than users"
+        ("solve", "users: -1\n", "k_total"),
+        ("solve", "users: 0\nstreaming_users: 0\n", "k_total"),
         ("solve", "n_subcarriers: 0\n", "n_subcarriers"),
         ("overhead --n 0", None, "n_subcarriers"),
         ("sweep --arch hcn --sweep lpn --values 1,4 --draws 1", None, "m_f"),

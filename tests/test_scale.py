@@ -547,13 +547,21 @@ class TestSeatedRounds:
         assert np.all(np.abs(r_user - r_hat.sum(axis=(0, 2))) <= 1e-12 * size)
 
 
+def _seated_on_nothing(ch, cfg, e):
+    """A context seated on no entry: no pairs, so the scalar updates see no
+    cancellation-order multipliers."""
+    ctx = _SolveContext(ch, cfg, e)
+    ctx.seat(np.zeros(ch.gamma.shape, dtype=bool))
+    return ctx
+
+
 class TestPowerUpdates:
     def test_unit_power_point(self):
         # single entry, no interference, no duals: p = (w alpha / ln2) / (e eta)
         cfg = make_config(m=1, k=1, n=1, p_max=[5.0], eta=[1.0])
         shape = (1, 1, 1)
         ch = ChannelState(gamma=np.ones(shape), sigma=np.ones(shape))
-        ctx = _SolveContext(ch, cfg, e=1.0 / np.log(2.0))
+        ctx = _seated_on_nothing(ch, cfg, e=1.0 / np.log(2.0))
         duals = ctx.fresh_duals()
         coeffs = _high_sir(shape)
         state = SweepState(p=np.full(shape, 0.1), p_lin=np.full(shape, 0.1), pairs=ctx.pairs)
@@ -565,7 +573,7 @@ class TestPowerUpdates:
         cfg = make_config(m=1, k=1, n=1, p_max=[0.4], eta=[1.0])
         shape = (1, 1, 1)
         ch = ChannelState(gamma=np.ones(shape), sigma=np.ones(shape))
-        ctx = _SolveContext(ch, cfg, e=1e-6)
+        ctx = _seated_on_nothing(ch, cfg, e=1e-6)
         duals = ctx.fresh_duals()
         state = SweepState(p=np.full(shape, 0.1), p_lin=np.full(shape, 0.1), pairs=ctx.pairs)
         got = elastic_power_update(state, duals, _high_sir(shape), ch, cfg,
@@ -575,7 +583,7 @@ class TestPowerUpdates:
     def test_streaming_zero_incentive(self):
         cfg = make_config(m=1, k=2, n=1, streaming=(0,))
         ch = make_channel(cfg, seed=11)
-        ctx = _SolveContext(ch, cfg, e=0.5)
+        ctx = _seated_on_nothing(ch, cfg, e=0.5)
         duals = ctx.fresh_duals()
         duals.zeta[:] = 0.0
         state = SweepState(p=np.full(ch.gamma.shape, 0.01),
@@ -587,7 +595,7 @@ class TestPowerUpdates:
     def test_streaming_monotone_in_rate_multiplier(self):
         cfg = make_config(m=1, k=2, n=1, streaming=(0,))
         ch = make_channel(cfg, seed=12)
-        ctx = _SolveContext(ch, cfg, e=0.5)
+        ctx = _seated_on_nothing(ch, cfg, e=0.5)
         coeffs = _high_sir(ch.gamma.shape)
         state = SweepState(p=np.full(ch.gamma.shape, 0.01),
                            p_lin=np.full(ch.gamma.shape, 0.01), pairs=ctx.pairs)
@@ -889,6 +897,96 @@ class TestBudgetSolve:
         dinkelbach.solve(ch, cfg, ScaleSolver())
         assert counts["calls"] > 0
         assert counts["sums"] / counts["calls"] <= 6.0, counts
+
+
+def _bisection_scale(w, z, target):
+    """The streaming trim's scale as a 30-step bisection of [0, 1] finds it:
+    the reference for ``scale._trim_scale``."""
+    lo, hi = 0.0, 1.0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if w @ np.log2(1.0 + mid * z) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestTrimScale:
+    @staticmethod
+    def _assert_matches(w, z, target):
+        w, z = np.asarray(w, dtype=float), np.asarray(z, dtype=float)
+        rate = w @ np.log2(1.0 + z)
+        assert 0.0 < target < rate
+        assert scale._trim_scale(w, z, target, rate) == _bisection_scale(w, z, target)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), near=st.booleans(),
+           depth=st.floats(0.0, 1.0))
+    def test_matches_bisection(self, data, n, near, depth):
+        # targets from 1e-12 of the full rate up to 1e-12 below it, over
+        # SINRs from 1e-3 to 1e4
+        size = dict(min_size=n, max_size=n)
+        z = 10.0 ** np.array(data.draw(st.lists(st.floats(-3.0, 4.0), **size)))
+        w = np.array(data.draw(st.lists(st.floats(0.05, 1.0), **size)))
+        rate = w @ np.log2(1.0 + z)
+        target = rate - 10.0 ** (-12.0 + 11.0 * depth) if near else rate * 10.0 ** (-12.0 * depth)
+        if 0.0 < target < rate:
+            self._assert_matches(w, z, target)
+
+    def test_one_entry(self):
+        self._assert_matches([0.7], [3.0], 1.0)
+
+    def test_target_within_1e_9_of_the_full_rate(self):
+        w, z = np.array([0.3, 0.9, 0.5]), np.array([2.0, 40.0, 0.7])
+        for gap in (1e-9, 3e-10, 1e-12):
+            self._assert_matches(w, z, w @ np.log2(1.0 + z) - gap)
+
+    def test_sinrs_from_1e_3_to_1e4(self):
+        w, z = np.array([1.0, 0.5, 0.8, 0.2]), np.array([1e-3, 0.1, 10.0, 1e4])
+        rate = w @ np.log2(1.0 + z)
+        for fraction in (1e-9, 1e-4, 0.05, 0.5, 0.9, 0.999):
+            self._assert_matches(w, z, fraction * rate)
+
+    def test_answer_at_the_smallest_grid_point(self):
+        w, z = np.array([1.0]), np.array([1e4])
+        target = 0.5 * (w @ np.log2(1.0 + 2.0**-30 * z))
+        self._assert_matches(w, z, target)
+        assert scale._trim_scale(w, z, target, w @ np.log2(1.0 + z)) == 2.0**-30
+
+
+class TestRepairCounts:
+    def test_one_list_and_few_rate_reads(self, monkeypatch):
+        # a campaign-sized draw on which the repair trims and the boost fills
+        # new rows: the repair builds one entry list and rebuilds it only for
+        # a row a fill powers, and the trim reads a few rates per user where
+        # its bisection read 30; the allocation is the bisection's
+        cfg = build_config("hcran", k_total=16, k_streaming=6,
+                           rng=np.random.default_rng(3), n_subcarriers=32)
+        ch = gen_channel(cfg, 3)
+        ctx = _SolveContext(ch, cfg, e=0.0)
+        p, _, _ = _rounds(ctx, greedy_init(cfg, ch))
+        with monkeypatch.context() as patch:
+            patch.setattr(scale, "_trim_scale",
+                          lambda w, z, target, rate: _bisection_scale(w, z, target))
+            expected = ctx.repair(p, scale.PhaseTimes())
+
+        counts = dict.fromkeys(("builds", "trims", "rates"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(model, "seated_entries", counting("builds", model.seated_entries))
+        monkeypatch.setattr(scale, "_trim_scale", counting("trims", scale._trim_scale))
+        monkeypatch.setattr(scale, "_scaled_rate", counting("rates", scale._scaled_rate))
+        q = ctx.repair(p, scale.PhaseTimes())
+        assert np.array_equal(q, expected)
+        assert counts["trims"] > 0 and counts["builds"] > 1, counts
+        assert counts["builds"] <= 1 + len(cfg.streaming_users()), counts
+        assert counts["rates"] <= 5 * counts["trims"], counts
 
 
 class TestInnerSolve:
